@@ -1,22 +1,26 @@
-"""Differential tests: vectorized core vs the scalar reference core.
+"""Full-result golden of the simulator core.
 
-The vectorized simulator (columnar op tables + numpy pricing, the
-default) must be *byte-identical* to the scalar seed core selected by
-``REPRO_SCALAR_CORE=1`` -- not approximately equal: every float in a
-``SimulationResult`` must compare ``==``.  These tests run both cores
-in-process over the paper's full evaluation matrix (6 designs x 8
-workloads x 2 strategies) and over the pipeline, serving, and cluster
-subsystems, and assert exact dataclass equality.
+``tests/golden/core_results.json`` holds the canonical
+``SimulationResult.to_dict()`` of every cell below: the paper's full
+evaluation matrix (6 designs x 8 workloads x data/model parallelism at
+batch 512) plus inference, pipeline (1F1B and GPipe), serving, cluster
+and prefetch-policy cells.  Cells are keyed ``design/network/strategy``
+for the training grid and ``mode/...`` otherwise.
 
-The scalar toggle is dynamic (read per ``simulate()`` call), so one
-process can run both sides; pricing memos are cleared around every
-scalar run so the comparison is never served from a vectorized-mode
-cache (which would make the differential vacuous).
+Each test holds its cells to the snapshot exactly, not within a float
+tolerance: the result's JSON must be byte-identical to the committed
+one, and the committed dict must decode through
+``SimulationResult.from_dict`` to a result equal to the fresh one.
+``pytest --update-golden`` rewrites the snapshot.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
+from collections.abc import Callable
+from pathlib import Path
 
 import pytest
 
@@ -24,37 +28,89 @@ from repro.cluster.simulator import simulate_cluster
 from repro.core import pricing
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import ExecutionMode, SimulationResult
-from repro.core.optable import SCALAR_CORE_ENV, scalar_core_enabled
 from repro.core.simulator import simulate
 from repro.dnn.registry import BENCHMARK_NAMES
 from repro.serving.server import simulate_serving
 from repro.training.parallel import ParallelStrategy
 
+GOLDEN_NAME = "core_results"
+GOLDEN_PATH = Path(__file__).parent / "golden" / f"{GOLDEN_NAME}.json"
+PREFETCH_POLICIES = ("next-op", "stride", "cost-model", "clairvoyant")
+TRAINING_STRATEGIES = (ParallelStrategy.DATA, ParallelStrategy.MODEL)
+
+
+def _training(design: str, network: str,
+              strategy: ParallelStrategy) -> SimulationResult:
+    return simulate(design_point(design), network, 512, strategy)
+
+
+def _inference(design: str) -> SimulationResult:
+    return simulate(design_point(design), "ResNet", 64,
+                    ParallelStrategy.DATA, ExecutionMode.INFERENCE)
+
+
+def _pipeline(design: str, network: str, schedule: str) \
+        -> SimulationResult:
+    config = dataclasses.replace(design_point(design), pipeline_stages=4,
+                                 pipeline_schedule=schedule)
+    return simulate(config, network, 256, ParallelStrategy.PIPELINE)
+
+
+def _prefetch(policy: str) -> SimulationResult:
+    config = dataclasses.replace(design_point("MC-DLA(L)"),
+                                 prefetch_policy=policy)
+    return simulate(config, "GoogLeNet", 128, ParallelStrategy.DATA)
+
+
+#: Snapshot key -> thunk producing that cell's result.
+CELLS: dict[str, Callable[[], SimulationResult]] = {
+    **{f"{design}/{network}/{strategy.value}":
+       functools.partial(_training, design, network, strategy)
+       for design in DESIGN_ORDER for network in BENCHMARK_NAMES
+       for strategy in TRAINING_STRATEGIES},
+    **{f"inference/{design}/ResNet": functools.partial(_inference, design)
+       for design in ("DC-DLA", "MC-DLA(B)")},
+    "pipeline/1f1b/MC-DLA(B)/VGG-E":
+        functools.partial(_pipeline, "MC-DLA(B)", "VGG-E", "1f1b"),
+    "pipeline/gpipe/HC-DLA/BERT-Large":
+        functools.partial(_pipeline, "HC-DLA", "BERT-Large", "gpipe"),
+    "serving/MC-DLA(B)/ResNet": lambda: simulate_serving(
+        design_point("MC-DLA(B)"), "ResNet", rate=200.0, n_requests=64,
+        seed=7, max_batch=16),
+    "cluster/MC-DLA(B)/fifo": lambda: simulate_cluster(
+        design_point("MC-DLA(B)"), policy="fifo", n_jobs=8, seed=7),
+    **{f"prefetch/{policy}/MC-DLA(L)/GoogLeNet":
+       functools.partial(_prefetch, policy)
+       for policy in PREFETCH_POLICIES},
+}
+
+
+@functools.cache
+def result_of(key: str) -> SimulationResult:
+    return CELLS[key]()
+
+
+@functools.cache
+def snapshot() -> dict[str, dict]:
+    return json.loads(GOLDEN_PATH.read_text())
+
 
 @pytest.fixture
-def both_cores(monkeypatch):
-    """Run a thunk under each core and return (vectorized, scalar)."""
+def check(golden):
+    """Assert cells match the snapshot (no-op under --update-golden,
+    where :class:`TestSnapshot` rewrites the file instead)."""
 
-    def run(thunk):
-        pricing.clear_caches()
-        monkeypatch.delenv(SCALAR_CORE_ENV, raising=False)
-        assert not scalar_core_enabled()
-        vectorized = thunk()
-        pricing.clear_caches()
-        monkeypatch.setenv(SCALAR_CORE_ENV, "1")
-        assert scalar_core_enabled()
-        scalar = thunk()
-        monkeypatch.delenv(SCALAR_CORE_ENV, raising=False)
-        pricing.clear_caches()
-        return vectorized, scalar
+    def run(*keys: str) -> None:
+        if golden.update:
+            return
+        for key in keys:
+            actual = result_of(key)
+            expected = snapshot()[key]
+            assert (json.dumps(actual.to_dict(), sort_keys=True)
+                    == json.dumps(expected, sort_keys=True)), key
+            assert SimulationResult.from_dict(expected) == actual, key
 
     return run
-
-
-def assert_identical(vectorized: SimulationResult,
-                     scalar: SimulationResult) -> None:
-    """Exact (bitwise, via ``==``) equality of two results."""
-    assert dataclasses.asdict(vectorized) == dataclasses.asdict(scalar)
 
 
 class TestEvaluationMatrix:
@@ -62,89 +118,41 @@ class TestEvaluationMatrix:
 
     @pytest.mark.parametrize("design", DESIGN_ORDER)
     @pytest.mark.parametrize("network", BENCHMARK_NAMES)
-    def test_training_grid_cell(self, both_cores, design, network):
-        config = design_point(design)
-        for strategy in (ParallelStrategy.DATA, ParallelStrategy.MODEL):
-            vec, ref = both_cores(
-                lambda: simulate(config, network, 512, strategy))
-            assert_identical(vec, ref)
+    def test_training_grid_cell(self, check, design, network):
+        check(*(f"{design}/{network}/{strategy.value}"
+                for strategy in TRAINING_STRATEGIES))
 
     @pytest.mark.parametrize("design", ("DC-DLA", "MC-DLA(B)"))
-    def test_inference_cells(self, both_cores, design):
-        config = design_point(design)
-        vec, ref = both_cores(
-            lambda: simulate(config, "ResNet", 64, ParallelStrategy.DATA,
-                             ExecutionMode.INFERENCE))
-        assert_identical(vec, ref)
+    def test_inference_cells(self, check, design):
+        check(f"inference/{design}/ResNet")
 
 
 class TestSubsystems:
-    def test_pipeline_mode(self, both_cores):
-        config = dataclasses.replace(design_point("MC-DLA(B)"),
-                                     pipeline_stages=4)
-        vec, ref = both_cores(
-            lambda: simulate(config, "VGG-E", 256,
-                             ParallelStrategy.PIPELINE))
-        assert_identical(vec, ref)
+    def test_pipeline_mode(self, check):
+        check("pipeline/1f1b/MC-DLA(B)/VGG-E")
 
-    def test_pipeline_gpipe_schedule(self, both_cores):
-        config = dataclasses.replace(design_point("HC-DLA"),
-                                     pipeline_stages=4,
-                                     pipeline_schedule="gpipe")
-        vec, ref = both_cores(
-            lambda: simulate(config, "BERT-Large", 256,
-                             ParallelStrategy.PIPELINE))
-        assert_identical(vec, ref)
+    def test_pipeline_gpipe_schedule(self, check):
+        check("pipeline/gpipe/HC-DLA/BERT-Large")
 
-    def test_serving_mode(self, both_cores):
-        config = design_point("MC-DLA(B)")
-        vec, ref = both_cores(
-            lambda: simulate_serving(config, "ResNet", rate=200.0,
-                                     n_requests=64, seed=7,
-                                     max_batch=16))
-        assert_identical(vec, ref)
+    def test_serving_mode(self, check):
+        check("serving/MC-DLA(B)/ResNet")
 
-    def test_cluster_mode(self, both_cores):
-        config = design_point("MC-DLA(B)")
-        vec, ref = both_cores(
-            lambda: simulate_cluster(config, policy="fifo", n_jobs=8,
-                                     seed=7))
-        assert_identical(vec, ref)
+    def test_cluster_mode(self, check):
+        check("cluster/MC-DLA(B)/fifo")
 
-    @pytest.mark.parametrize("policy", ("next-op", "stride",
-                                        "cost-model", "clairvoyant"))
-    def test_prefetch_policies(self, both_cores, policy):
-        config = dataclasses.replace(design_point("MC-DLA(L)"),
-                                     prefetch_policy=policy)
-        vec, ref = both_cores(
-            lambda: simulate(config, "GoogLeNet", 128,
-                             ParallelStrategy.DATA))
-        assert_identical(vec, ref)
+    @pytest.mark.parametrize("policy", PREFETCH_POLICIES)
+    def test_prefetch_policies(self, check, policy):
+        check(f"prefetch/{policy}/MC-DLA(L)/GoogLeNet")
 
 
-class TestEscapeHatch:
-    """``REPRO_SCALAR_CORE`` gates every memo, not just the scheduler."""
+class TestSnapshot:
+    def test_snapshot_covers_every_cell(self, golden):
+        golden.check(GOLDEN_NAME,
+                     {key: result_of(key).to_dict() for key in CELLS})
 
-    def test_toggle_is_dynamic(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_CORE_ENV, raising=False)
-        assert not scalar_core_enabled()
-        monkeypatch.setenv(SCALAR_CORE_ENV, "1")
-        assert scalar_core_enabled()
-        monkeypatch.setenv(SCALAR_CORE_ENV, "0")
-        assert not scalar_core_enabled()
-        monkeypatch.setenv(SCALAR_CORE_ENV, "")
-        assert not scalar_core_enabled()
 
-    def test_scalar_mode_bypasses_design_memo(self, monkeypatch):
-        pricing.clear_caches()
-        monkeypatch.setenv(SCALAR_CORE_ENV, "1")
-        a = design_point("DC-DLA")
-        b = design_point("DC-DLA")
-        assert a is not b
-        assert a == b
-
-    def test_vectorized_mode_shares_design_builds(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_CORE_ENV, raising=False)
+class TestDesignPointMemo:
+    def test_vectorized_mode_shares_design_builds(self):
         pricing.clear_caches()
         a = design_point("DC-DLA")
         b = design_point("DC-DLA")
