@@ -5,7 +5,7 @@ collectives, schedule construction, full iteration simulation) so
 regressions in the simulator's own performance are visible.
 
 Simulation-level benchmarks come in *cold* and *warm* variants.  The
-vectorized core memoizes pricing process-wide
+core memoizes pricing process-wide
 (:mod:`repro.core.pricing`), so a naive ``benchmark(simulate, ...)``
 times cache replay from its second round on.  Cold variants clear
 every pricing memo in the round's setup hook and measure real
@@ -20,7 +20,6 @@ from repro.core.design_points import dc_dla, mc_dla_bw
 from repro.core.optable import schedule_ops
 from repro.core.schedule import build_iteration_ops, plan_iteration
 from repro.core.simulator import simulate
-from repro.core.timeline import run_timeline
 from repro.dnn.registry import build_network
 from repro.dnn.shapes import Gemm
 from repro.training.parallel import ParallelStrategy
@@ -70,18 +69,8 @@ def test_bench_schedule_construction_warm(benchmark):
     assert len(ops) > 200
 
 
-def test_bench_timeline_scheduler_scalar(benchmark):
-    """The scalar reference list scheduler (pure, no caches)."""
-    net = build_network("RNN-GRU")
-    config = dc_dla()
-    plan = plan_iteration(net, config, 512, ParallelStrategy.DATA)
-    ops = build_iteration_ops(plan, config)
-    result = benchmark(run_timeline, ops)
-    assert result.makespan > 0
-
-
-def test_bench_timeline_scheduler_columnar(benchmark):
-    """The columnar scheduler on the same op program."""
+def test_bench_timeline_scheduler(benchmark):
+    """The list scheduler alone (pure, no caches)."""
     net = build_network("RNN-GRU")
     config = dc_dla()
     plan = plan_iteration(net, config, 512, ParallelStrategy.DATA)

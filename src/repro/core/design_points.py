@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.accelerator.device import BASELINE_DEVICE, DeviceSpec
-from repro.core.optable import scalar_core_enabled
 from repro.core.system import CollectiveModel, SystemConfig, VmemModel
 from repro.collectives.multi_ring import RingChannel
 from repro.host.cpu import HYPOTHETICAL_HC, XEON, CpuSocketSpec
@@ -176,9 +175,7 @@ _FACTORIES: dict[str, Callable[..., SystemConfig]] = {
 #: name -> built default config.  SystemConfig is frozen (as is every
 #: model it aggregates), so one instance is safely shared by every
 #: campaign cell; rebuilding the interconnect per cell shows up in
-#: grid profiles.  Bypassed under REPRO_SCALAR_CORE=1 so the escape
-#: hatch reproduces the seed's work, and cleared by
-#: :func:`repro.core.pricing.clear_caches`.
+#: grid profiles.  Cleared by :func:`repro.core.pricing.clear_caches`.
 _DEFAULT_BUILDS: dict[str, SystemConfig] = {}
 
 
@@ -189,7 +186,7 @@ def clear_design_point_cache() -> None:
 
 def design_point(name: str, **kwargs) -> SystemConfig:
     """Build a design point by its Figure 11/13 name."""
-    if not kwargs and not scalar_core_enabled():
+    if not kwargs:
         built = _DEFAULT_BUILDS.get(name)
         if built is not None:
             return built
@@ -199,7 +196,7 @@ def design_point(name: str, **kwargs) -> SystemConfig:
         raise KeyError(f"unknown design point {name!r}; "
                        f"known: {', '.join(DESIGN_ORDER)}") from None
     config = factory(**kwargs)
-    if not kwargs and not scalar_core_enabled():
+    if not kwargs:
         _DEFAULT_BUILDS[name] = config
     return config
 

@@ -1,18 +1,24 @@
 """Result records of a simulated training iteration.
 
-Both records round-trip losslessly through plain dicts (``to_dict`` /
-``from_dict``) so the campaign layer can persist them as JSON: floats
+Every record round-trips losslessly through plain dicts (``to_dict`` /
+``from_dict``, one codec driven by the dataclass fields -- see
+:class:`Record`) so the campaign layer can persist them as JSON: floats
 survive exactly because ``json`` serializes the shortest repr that
 parses back to the same IEEE-754 value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
 import math
+import operator
+import types
+import typing
 from dataclasses import dataclass
-from collections.abc import Sequence
-from typing import Any
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any, NamedTuple
 
 from repro.training.parallel import ParallelStrategy
 
@@ -68,6 +74,123 @@ def resolve_metric(result: "SimulationResult", path: str) -> float:
         f"not a number")
 
 
+#: Field metadata: write the field only when its value is truthy.
+OMIT_EMPTY = {"omit_empty": True}
+
+
+class _Codec(NamedTuple):
+    """How :class:`Record` encodes and decodes one dataclass."""
+
+    #: Every field, in declaration order.
+    names: tuple[str, ...]
+    #: ``record -> tuple of field values`` (one C-level call).
+    values: Callable[[Any], tuple]
+    #: (field, value -> JSON value) for fields not stored as-is.
+    encoders: tuple[tuple[str, Callable[[Any], Any]], ...]
+    #: (field, JSON value -> value) for fields not stored as-is.
+    decoders: tuple[tuple[str, Callable[[Any], Any]], ...]
+    #: Fields without a default: their keys must be present.
+    required: tuple[str, ...]
+    #: Fields with a default: an absent key reads back as it.
+    defaulted: tuple[str, ...]
+    #: Fields written only when non-empty (:data:`OMIT_EMPTY`).
+    omit_empty: tuple[str, ...]
+
+
+def _encode_record(value: "Record | None") -> dict[str, Any] | None:
+    return None if value is None else value.to_dict()
+
+
+def _field_codec(hint: Any) -> tuple[Callable | None, Callable | None]:
+    """(encode, decode) of one resolved field annotation; ``None``
+    means the JSON value is the field value."""
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        return list, tuple
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [a for a in typing.get_args(hint)
+                    if a is not type(None)]
+        encode, decode = _field_codec(inner)
+        if decode is None:
+            return encode, None
+        return encode, lambda value: (None if value is None
+                                      else decode(value))
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return operator.attrgetter("value"), hint
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return _encode_record, hint.from_dict
+    return None, None
+
+
+@functools.cache
+def _codec(cls: type) -> _Codec:
+    """The codec of one record class, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    names = tuple(f.name for f in fields)
+    get = operator.attrgetter(*names)
+    encoders, decoders = [], []
+    for name in names:
+        encode, decode = _field_codec(hints[name])
+        if encode is not None:
+            encoders.append((name, encode))
+        if decode is not None:
+            decoders.append((name, decode))
+    defaulted = tuple(
+        f.name for f in fields
+        if f.default is not dataclasses.MISSING
+        or f.default_factory is not dataclasses.MISSING)
+    return _Codec(
+        names=names,
+        values=get if len(names) > 1 else lambda record: (get(record),),
+        encoders=tuple(encoders), decoders=tuple(decoders),
+        required=tuple(n for n in names if n not in defaulted),
+        defaulted=defaulted,
+        omit_empty=tuple(f.name for f in fields
+                         if f.metadata.get("omit_empty")))
+
+
+class Record:
+    """Dict codec for the frozen result dataclasses below.
+
+    Keys follow field order.  Tuples are written as lists, enums as
+    their ``.value``, nested records recursively, and a ``None``
+    sub-record as ``null``.  Reading back, a key may be absent only
+    when its field has a default (legacy payloads predate it);
+    :data:`OMIT_EMPTY` fields are written only when non-empty.  A
+    payload that is not a mapping raises :class:`TypeError`.
+    """
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict[str, Any]:
+        """A JSON-serializable snapshot of this record."""
+        codec = _codec(type(self))
+        data = dict(zip(codec.names, codec.values(self)))
+        for name, encode in codec.encoders:
+            data[name] = encode(data[name])
+        for name in codec.omit_empty:
+            if not data[name]:
+                del data[name]
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        """Rebuild a record from :meth:`to_dict` output (exact)."""
+        if not isinstance(data, Mapping):
+            raise TypeError(f"{cls.__name__} payload must be a mapping, "
+                            f"not {type(data).__name__}")
+        codec = _codec(cls)
+        kwargs = {name: data[name] for name in codec.required}
+        for name in codec.defaulted:
+            if name in data:
+                kwargs[name] = data[name]
+        for name, decode in codec.decoders:
+            if name in kwargs:
+                kwargs[name] = decode(kwargs[name])
+        return cls(**kwargs)
+
+
 class ExecutionMode(enum.Enum):
     """What one ``simulate()`` call models.
 
@@ -89,7 +212,7 @@ class ExecutionMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class LatencyBreakdown:
+class LatencyBreakdown(Record):
     """The three stacked latencies of the paper's Figure 11.
 
     These are *raw* per-engine totals; they do not sum to the iteration
@@ -126,18 +249,10 @@ class LatencyBreakdown:
                                 self.sync / reference_total,
                                 self.vmem / reference_total)
 
-    def to_dict(self) -> dict[str, float]:
-        return {"compute": self.compute, "sync": self.sync,
-                "vmem": self.vmem}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, float]) -> "LatencyBreakdown":
-        return cls(compute=data["compute"], sync=data["sync"],
-                   vmem=data["vmem"])
 
 
 @dataclass(frozen=True)
-class PipelineStats:
+class PipelineStats(Record):
     """Per-stage accounting of one pipeline-parallel iteration.
 
     ``stage_bubble`` is each stage's compute-engine idle time over the
@@ -162,7 +277,10 @@ class PipelineStats:
     #: Deferred weight-grad (W) seconds per stage over the iteration;
     #: empty on schedules that keep the backward undifferentiated
     #: (then W time is folded into ``stage_compute`` backwards).
-    stage_wgrad: tuple[float, ...] = ()
+    #: Written only when non-empty, so snapshots of the other
+    #: schedules stay byte-identical.
+    stage_wgrad: tuple[float, ...] = dataclasses.field(
+        default=(), metadata=OMIT_EMPTY)
 
     def __post_init__(self) -> None:
         counts = {len(self.stage_compute), len(self.stage_bubble),
@@ -207,42 +325,10 @@ class PipelineStats:
         total = self.wgrad_time + self.bubble_time
         return self.wgrad_time / total if total > 0 else 0.0
 
-    def to_dict(self) -> dict[str, Any]:
-        data = {
-            "schedule": self.schedule,
-            "n_stages": self.n_stages,
-            "n_microbatches": self.n_microbatches,
-            "microbatch": self.microbatch,
-            "replicas": self.replicas,
-            "stage_compute": list(self.stage_compute),
-            "stage_bubble": list(self.stage_bubble),
-            "stage_offload_bytes": list(self.stage_offload_bytes),
-            "stage_max_in_flight": list(self.stage_max_in_flight),
-        }
-        # Emitted only by the B/W-splitting schedules so legacy
-        # snapshots stay byte-identical.
-        if self.stage_wgrad:
-            data["stage_wgrad"] = list(self.stage_wgrad)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PipelineStats":
-        return cls(
-            schedule=data["schedule"],
-            n_stages=data["n_stages"],
-            n_microbatches=data["n_microbatches"],
-            microbatch=data["microbatch"],
-            replicas=data["replicas"],
-            stage_compute=tuple(data["stage_compute"]),
-            stage_bubble=tuple(data["stage_bubble"]),
-            stage_offload_bytes=tuple(data["stage_offload_bytes"]),
-            stage_max_in_flight=tuple(data["stage_max_in_flight"]),
-            stage_wgrad=tuple(data.get("stage_wgrad", ())),
-        )
 
 
 @dataclass(frozen=True)
-class PrefetchStats:
+class PrefetchStats(Record):
     """What the vmem prefetch/eviction policy did to one schedule.
 
     Produced by :func:`repro.vmem.prefetch.collect_prefetch_stats` from
@@ -292,31 +378,10 @@ class PrefetchStats:
         """The histogram as a plain mapping (rendering convenience)."""
         return {"late": self.late, "jit": self.jit, "early": self.early}
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "n_prefetches": self.n_prefetches,
-            "prefetch_bytes": self.prefetch_bytes,
-            "wasted_bytes": self.wasted_bytes,
-            "evictions": self.evictions,
-            "stall_seconds": self.stall_seconds,
-            "late": self.late,
-            "jit": self.jit,
-            "early": self.early,
-            "hit_rate": self.hit_rate,
-            "contended_seconds": self.contended_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PrefetchStats":
-        return cls(**{field: data[field] for field in (
-            "policy", "n_prefetches", "prefetch_bytes", "wasted_bytes",
-            "evictions", "stall_seconds", "late", "jit", "early",
-            "hit_rate", "contended_seconds")})
 
 
 @dataclass(frozen=True)
-class FaultStats:
+class FaultStats(Record):
     """What a fault model injected into one run, and what it cost.
 
     Produced only when a non-null :class:`repro.faults.model.FaultModel`
@@ -360,29 +425,10 @@ class FaultStats:
         if not 0.0 <= self.availability <= 1.0 + 1e-9:
             raise ValueError("availability must lie in [0, 1]")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "model": self.model,
-            "injected_events": self.injected_events,
-            "degraded_seconds": self.degraded_seconds,
-            "slowdown": self.slowdown,
-            "retries": self.retries,
-            "shed_requests": self.shed_requests,
-            "timed_out_requests": self.timed_out_requests,
-            "recovery_bytes": self.recovery_bytes,
-            "availability": self.availability,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultStats":
-        return cls(**{field: data[field] for field in (
-            "model", "injected_events", "degraded_seconds", "slowdown",
-            "retries", "shed_requests", "timed_out_requests",
-            "recovery_bytes", "availability")})
 
 
 @dataclass(frozen=True)
-class ServingStats:
+class ServingStats(Record):
     """Request-level outcome of one inference-serving simulation.
 
     Latencies are end-to-end (arrival to completion, queueing included)
@@ -450,44 +496,10 @@ class ServingStats:
         return (self.latency_p99 / self.latency_p50
                 if self.latency_p50 > 0 else 0.0)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "arrival": self.arrival,
-            "batcher": self.batcher,
-            "max_batch": self.max_batch,
-            "max_wait": self.max_wait,
-            "slo": self.slo,
-            "n_requests": self.n_requests,
-            "n_servers": self.n_servers,
-            "duration": self.duration,
-            "offered_rate": self.offered_rate,
-            "throughput": self.throughput,
-            "goodput": self.goodput,
-            "slo_attainment": self.slo_attainment,
-            "latency_mean": self.latency_mean,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "latency_max": self.latency_max,
-            "queue_delay_mean": self.queue_delay_mean,
-            "service_mean": self.service_mean,
-            "mean_batch_size": self.mean_batch_size,
-            "utilization": self.utilization,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ServingStats":
-        return cls(**{field: data[field] for field in (
-            "arrival", "batcher", "max_batch", "max_wait", "slo",
-            "n_requests", "n_servers", "duration", "offered_rate",
-            "throughput", "goodput", "slo_attainment", "latency_mean",
-            "latency_p50", "latency_p95", "latency_p99", "latency_max",
-            "queue_delay_mean", "service_mean", "mean_batch_size",
-            "utilization")})
 
 
 @dataclass(frozen=True)
-class ClusterStats:
+class ClusterStats(Record):
     """Fleet-level outcome of one multi-job cluster simulation.
 
     Job completion times (JCT) are end-to-end (submission to finish,
@@ -551,40 +563,10 @@ class ClusterStats:
         return (self.queue_delay_mean / self.jct_mean
                 if self.jct_mean > 0 else 0.0)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "job_mix": self.job_mix,
-            "n_jobs": self.n_jobs,
-            "n_devices": self.n_devices,
-            "pool_capacity": self.pool_capacity,
-            "oversubscription": self.oversubscription,
-            "makespan": self.makespan,
-            "throughput": self.throughput,
-            "jct_mean": self.jct_mean,
-            "jct_p50": self.jct_p50,
-            "jct_p95": self.jct_p95,
-            "queue_delay_mean": self.queue_delay_mean,
-            "device_utilization": self.device_utilization,
-            "pool_utilization": self.pool_utilization,
-            "pool_pressure": self.pool_pressure,
-            "fragmentation": self.fragmentation,
-            "preemptions": self.preemptions,
-            "checkpoint_bytes": self.checkpoint_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ClusterStats":
-        return cls(**{field: data[field] for field in (
-            "policy", "job_mix", "n_jobs", "n_devices", "pool_capacity",
-            "oversubscription", "makespan", "throughput", "jct_mean",
-            "jct_p50", "jct_p95", "queue_delay_mean",
-            "device_utilization", "pool_utilization", "pool_pressure",
-            "fragmentation", "preemptions", "checkpoint_bytes")})
 
 
 @dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Record):
     """One (design point, network, batch, strategy) simulation.
 
     ``iteration_time`` and every :class:`LatencyBreakdown` component
@@ -654,65 +636,3 @@ class SimulationResult:
                 (oracle.network, oracle.batch, oracle.strategy):
             raise ValueError("normalization requires matching workloads")
         return oracle.iteration_time / self.iteration_time
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-serializable snapshot of this result."""
-        return {
-            "system": self.system,
-            "network": self.network,
-            "batch": self.batch,
-            "strategy": self.strategy.value,
-            "n_devices": self.n_devices,
-            "iteration_time": self.iteration_time,
-            "breakdown": self.breakdown.to_dict(),
-            "offload_bytes_per_device": self.offload_bytes_per_device,
-            "sync_bytes": self.sync_bytes,
-            "host_traffic_bytes_per_device":
-                self.host_traffic_bytes_per_device,
-            "fits_in_device_memory": self.fits_in_device_memory,
-            "pipeline": (self.pipeline.to_dict()
-                         if self.pipeline is not None else None),
-            "mode": self.mode.value,
-            "serving": (self.serving.to_dict()
-                        if self.serving is not None else None),
-            "cluster": (self.cluster.to_dict()
-                        if self.cluster is not None else None),
-            "prefetch": (self.prefetch.to_dict()
-                         if self.prefetch is not None else None),
-            "faults": (self.faults.to_dict()
-                       if self.faults is not None else None),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SimulationResult":
-        """Rebuild a result from :meth:`to_dict` output (exact)."""
-        pipeline = data.get("pipeline")
-        serving = data.get("serving")
-        cluster = data.get("cluster")
-        prefetch = data.get("prefetch")
-        faults = data.get("faults")
-        return cls(
-            system=data["system"],
-            network=data["network"],
-            batch=data["batch"],
-            strategy=ParallelStrategy(data["strategy"]),
-            n_devices=data["n_devices"],
-            iteration_time=data["iteration_time"],
-            breakdown=LatencyBreakdown.from_dict(data["breakdown"]),
-            offload_bytes_per_device=data["offload_bytes_per_device"],
-            sync_bytes=data["sync_bytes"],
-            host_traffic_bytes_per_device=data[
-                "host_traffic_bytes_per_device"],
-            fits_in_device_memory=data["fits_in_device_memory"],
-            pipeline=(PipelineStats.from_dict(pipeline)
-                      if pipeline is not None else None),
-            mode=ExecutionMode(data.get("mode", "training")),
-            serving=(ServingStats.from_dict(serving)
-                     if serving is not None else None),
-            cluster=(ClusterStats.from_dict(cluster)
-                     if cluster is not None else None),
-            prefetch=(PrefetchStats.from_dict(prefetch)
-                      if prefetch is not None else None),
-            faults=(FaultStats.from_dict(faults)
-                    if faults is not None else None),
-        )

@@ -8,7 +8,7 @@ context, once for op emission), and re-prices identical collectives,
 while all six design points share one device model and one device
 count, so the answers are identical across most of the grid.
 
-This module is the memo layer the vectorized core routes those
+This module is the memo layer the simulator core routes those
 derivations through:
 
 * :func:`cached_partition` / :func:`cached_migration` -- per-network
@@ -23,19 +23,17 @@ derivations through:
   stage-timing equivalents, keyed per layer;
 * :func:`collective_time` -- ring-collective latency per
   (model, primitive, nbytes);
-* :func:`memoized_pricer` -- wraps a per-transfer DMA pricer with a
+* :class:`MemoPricer` -- wraps a per-transfer DMA pricer with a
   size-keyed memo and, when the model provides one, a vectorized
   ``array`` variant for whole fetch lists;
 * :func:`cached_cluster_cell` -- cross-instance memo for the cluster
   cost oracle, so four scheduling policies price one design's job
   classes with one set of ``simulate()`` calls.
 
-Every cache is a pure memo: values are computed by exactly the code
-the scalar core runs, so cached and uncached paths are byte-identical.
-Under ``REPRO_SCALAR_CORE=1`` every helper here bypasses its memo and
-computes fresh -- the escape hatch reproduces the seed's work, not
-just its answers.  :func:`clear_caches` empties everything; the bench
-harness calls it so cold timings measure simulation, not cache replay.
+Every cache is a pure memo: a hit returns exactly what the uncached
+call computes, so cold and warm runs are byte-identical.
+:func:`clear_caches` empties everything; the bench harness calls it so
+cold timings measure simulation, not cache replay.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
-from repro.core.optable import scalar_core_enabled
 from repro.telemetry.registry import NOOP, on_activation
 from repro.training.backprop import TrainingStep, expand
 from repro.training.parallel import (ParallelStrategy, PartitionedLayer,
@@ -137,8 +134,6 @@ def cached_partition(net: "Network", batch: int,
     Returns the cached list itself; callers treat it as read-only
     (every consumer immediately re-keys it into a dict).
     """
-    if scalar_core_enabled():
-        return partition(net, batch, strategy, n_devices)
     key = ("partition", net.version, batch, strategy, n_devices)
     cache = _net_cache(net)
     if key not in cache:
@@ -158,9 +153,6 @@ def cached_migration(net: "Network", batch: int, virtualize: bool) \
     setting -- the only policy shape ``plan_iteration`` builds.
     """
     policy = MigrationPolicy(virtualize=virtualize)
-    if scalar_core_enabled():
-        plans = policy.plan(net, batch)
-        return plans, expand(net, plans)
     key = ("migration", net.version, batch, virtualize)
     cache = _net_cache(net)
     if key not in cache:
@@ -191,8 +183,6 @@ def layer_times(net: "Network", device: "DeviceSpec", batch: int,
                      op_time(p.bwd_gemms, p.fwd_stream_bytes))
             for p in parts}
 
-    if scalar_core_enabled():
-        return compute()
     key = ("layer-times", net.version, device, batch, strategy,
            n_devices)
     cache = _net_cache(net)
@@ -207,8 +197,6 @@ def layer_times(net: "Network", device: "DeviceSpec", batch: int,
 def layer_fwd_time(device: "DeviceSpec", layer: "Layer",
                    batch: int) -> float:
     """Memoized :meth:`DeviceSpec.layer_fwd_time` (pipeline staging)."""
-    if scalar_core_enabled():
-        return device.layer_fwd_time(layer, batch)
     key = (device, layer, batch)
     if key not in _LAYER_FWD:
         _MISSES["layer-fwd"].inc()
@@ -221,8 +209,6 @@ def layer_fwd_time(device: "DeviceSpec", layer: "Layer",
 def layer_bwd_time(device: "DeviceSpec", layer: "Layer",
                    batch: int) -> float:
     """Memoized :meth:`DeviceSpec.layer_bwd_time` (pipeline staging)."""
-    if scalar_core_enabled():
-        return device.layer_bwd_time(layer, batch)
     key = (device, layer, batch)
     if key not in _LAYER_BWD:
         _MISSES["layer-bwd"].inc()
@@ -240,8 +226,6 @@ def layer_bwd_split_time(device: "DeviceSpec", layer: "Layer",
     stage timing; sums to :func:`layer_bwd_time` up to float
     re-association.
     """
-    if scalar_core_enabled():
-        return device.layer_bwd_split_time(layer, batch)
     key = (device, layer, batch)
     if key not in _LAYER_BWD_SPLIT:
         _MISSES["layer-bwd-split"].inc()
@@ -268,8 +252,6 @@ def _collective_memo(model: "CollectiveModel") -> dict:
 def collective_time(model: "CollectiveModel", primitive,
                     nbytes: int) -> float:
     """Memoized :meth:`CollectiveModel.time`."""
-    if scalar_core_enabled():
-        return model.time(primitive, nbytes)
     memo = _collective_memo(model)
     key = (primitive, nbytes)
     if key not in memo:
@@ -282,14 +264,12 @@ def collective_time(model: "CollectiveModel", primitive,
 
 def collective_pricer(model: "CollectiveModel") \
         -> Callable[[object, int], float]:
-    """Bind one model's memoized ``time`` (env check hoisted out).
+    """Bind one model's memoized ``time``.
 
     Returns a ``(primitive, nbytes) -> seconds`` callable; inner-loop
-    emitters call it per op without re-reading ``REPRO_SCALAR_CORE``
-    or re-fetching the instance memo each time.
+    emitters call it per op without re-fetching the instance memo each
+    time.
     """
-    if scalar_core_enabled():
-        return model.time
     memo = _collective_memo(model)
     time = model.time
 
@@ -308,11 +288,12 @@ def collective_pricer(model: "CollectiveModel") \
 class MemoPricer:
     """A per-transfer DMA pricer with a size-keyed memo.
 
-    Wraps the scalar pricing callable the plan derived; repeated sizes
-    (every offload/prefetch pair, every pipeline stash) price once.
+    Wraps the per-transfer pricing callable the plan derived; repeated
+    sizes (every offload/prefetch pair, every pipeline stash) price
+    once.
     ``array_fn``, when provided, prices a whole list of sizes through
     the model's vectorized variant -- elementwise identical to the
-    scalar calls, just without the per-call Python overhead.
+    per-transfer calls, just without the per-call Python overhead.
     """
 
     __slots__ = ("fn", "array_fn", "cache")
@@ -345,15 +326,6 @@ class MemoPricer:
         return [self(n) for n in sizes]
 
 
-def memoized_pricer(fn: Callable[[int], float],
-                    array_fn: Callable | None = None) \
-        -> Callable[[int], float]:
-    """Wrap a DMA pricer in a memo (identity under the scalar core)."""
-    if scalar_core_enabled():
-        return fn
-    return MemoPricer(fn, array_fn)
-
-
 def cached_cluster_cell(config: "SystemConfig", key: tuple,
                         thunk: Callable[[], "SimulationResult"]) \
         -> "SimulationResult":
@@ -363,8 +335,6 @@ def cached_cluster_cell(config: "SystemConfig", key: tuple,
     design point it addresses one ``simulate()`` outcome shared by
     every scheduler policy comparing on that design.
     """
-    if scalar_core_enabled():
-        return thunk()
     full_key = (config, key)
     if full_key not in _CLUSTER_CELLS:
         _MISSES["cluster-cell"].inc()

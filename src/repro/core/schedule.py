@@ -4,11 +4,8 @@ This is where the paper's three latency components meet: forward and
 backward computation on the PE array, offload/prefetch DMAs on the
 virtualization channel (with vDNN's pinned-buffer back-pressure and
 bounded prefetch lookahead), and collective synchronization on the ring
-networks.  The resulting op sink (a columnar
-:class:`~repro.core.optable.OpTable` by default, or a scalar
-:class:`~repro.core.timeline.OpList` under ``REPRO_SCALAR_CORE=1``)
-encodes every overlap opportunity and every stall the design point
-implies.
+networks.  The resulting :class:`~repro.core.optable.OpTable` encodes
+every overlap opportunity and every stall the design point implies.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.core import pricing
-from repro.core.optable import OpSink, new_op_sink
+from repro.core.optable import OpTable
 from repro.core.system import SystemConfig
 from repro.core.timeline import EngineKind
 from repro.dnn.graph import Network
@@ -101,11 +98,11 @@ def vmem_pricer(config: SystemConfig, compute_seconds: float,
     contention fraction instead.
     """
     if config.prefetch_policy == ON_DEMAND:
-        return pricing.memoized_pricer(
+        return pricing.MemoPricer(
             config.vmem.transfer_time,
             array_fn=config.vmem.transfer_time_array)
     fraction = contention_fraction(compute_seconds, comm_seconds)
-    return pricing.memoized_pricer(
+    return pricing.MemoPricer(
         lambda nbytes: config.vmem.contended_transfer_time(nbytes,
                                                            fraction),
         array_fn=lambda sizes: config.vmem.contended_transfer_time_array(
@@ -312,7 +309,7 @@ def plan_inference_prefetch(plan: InferencePlan, config: SystemConfig,
 def build_inference_ops(plan: InferencePlan, config: SystemConfig,
                         prefetch: PrefetchSchedule | None = None,
                         pricer: Callable[[int], float] | None = None) \
-        -> OpSink:
+        -> OpTable:
     """Emit one forward-only batch's ops in issue order.
 
     Weight fetches ride the prefetch DMA engine, gated per the active
@@ -325,7 +322,7 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
     if prefetch is None:
         prefetch = plan_inference_prefetch(plan, config, pricer)
     waste_before = prefetch.waste_before()
-    ops = new_op_sink()
+    ops = OpTable()
     collective = pricing.collective_pricer(config.collectives)
     times = pricing.layer_times(plan.net, config.device, plan.batch,
                                 plan.strategy, config.n_devices)
@@ -387,7 +384,7 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
 def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
                         prefetch: PrefetchSchedule | None = None,
                         pricer: Callable[[int], float] | None = None,
-                        split_wgrad: bool = False) -> OpSink:
+                        split_wgrad: bool = False) -> OpTable:
     """Emit the iteration's ops in dependency-consistent issue order.
 
     ``prefetch`` carries the active policy's issue plan (computed from
@@ -408,7 +405,7 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
     if prefetch is None:
         prefetch = plan_training_prefetch(plan, config, pricer)
     waste_before = prefetch.waste_before()
-    ops = new_op_sink()
+    ops = OpTable()
     collective = pricing.collective_pricer(config.collectives)
     times = pricing.layer_times(plan.net, config.device, plan.batch,
                                 plan.strategy, config.n_devices)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.core.metrics import (ExecutionMode, LatencyBreakdown,
                                 SimulationResult)
-from repro.core.optable import Timeline, schedule_ops
+from repro.core.optable import ColumnarTimeline, schedule_ops
 from repro.core.schedule import (build_inference_ops, build_iteration_ops,
                                  inference_pricer, iteration_pricer,
                                  plan_inference, plan_inference_prefetch,
@@ -63,9 +63,8 @@ def simulate(config: SystemConfig, network: Network | str,
     Returns:
         A :class:`SimulationResult`.  ``iteration_time`` and every
         breakdown component are seconds; all traffic fields are bytes
-        per iteration.  Results are deterministic and identical under
-        both simulator cores (``REPRO_SCALAR_CORE=1`` selects the
-        scalar reference core; see ``docs/performance.md``).
+        per iteration.  Results are deterministic
+        (``tests/golden/core_results.json`` pins them).
     """
     net = _resolve(network)
     fault = active_fault_model(config)
@@ -248,7 +247,7 @@ def _simulate_pipeline(config: SystemConfig, net: Network,
 def iteration_timeline(config: SystemConfig, network: Network | str,
                        batch: int = DEFAULT_BATCH,
                        strategy: ParallelStrategy =
-                       ParallelStrategy.DATA) -> Timeline:
+                       ParallelStrategy.DATA) -> ColumnarTimeline:
     """The scheduled engine timeline of one iteration (trace export)."""
     net = _resolve(network)
     if strategy is ParallelStrategy.PIPELINE:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 
-from repro.core.timeline import EngineKind, TimelineResult
+from repro.core.optable import ColumnarTimeline
+from repro.core.timeline import EngineKind
 
 #: Stable row ordering for trace viewers (within one channel).
 _ENGINE_ROWS = {
@@ -74,7 +75,7 @@ def tag_category(tag: str, strict: bool = False) -> str:
     return category
 
 
-def to_records(result: TimelineResult) -> list[dict]:
+def to_records(result: ColumnarTimeline) -> list[dict]:
     """One dict per scheduled op, in start-time order."""
     records = [
         {
@@ -100,7 +101,7 @@ def _row_name(engine: EngineKind, channel: int,
     return engine.value
 
 
-def _bubble_events(result: TimelineResult, pid: int,
+def _bubble_events(result: ColumnarTimeline, pid: int,
                    tid_of) -> list[dict]:
     """Compute-idle slices per channel, between first and last op."""
     events = []
@@ -123,7 +124,7 @@ def _bubble_events(result: TimelineResult, pid: int,
     return events
 
 
-def to_chrome_trace(result: TimelineResult, pid: int = 1,
+def to_chrome_trace(result: ColumnarTimeline, pid: int = 1,
                     include_bubbles: bool = False,
                     host_spans=None) -> str:
     """Serialize the timeline as Chrome ``trace_event`` JSON.
@@ -263,7 +264,7 @@ def cluster_chrome_trace(events, pid: int = 1) -> str:
                        "displayTimeUnit": "ms"})
 
 
-def engine_utilization(result: TimelineResult,
+def engine_utilization(result: ColumnarTimeline,
                        per_channel: bool = False) -> dict[str, float]:
     """Busy fraction of each engine over the iteration makespan.
 

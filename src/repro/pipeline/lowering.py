@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from repro.collectives.ring_algorithm import Primitive
 from repro.core import pricing
 from repro.core.metrics import PipelineStats
-from repro.core.optable import OpSink, Timeline, new_op_sink
+from repro.core.optable import ColumnarTimeline, OpTable
 from repro.core.schedule import vmem_pricer
 from repro.core.system import SystemConfig
 from repro.core.timeline import EngineKind
@@ -400,7 +400,7 @@ def plan_pipeline_prefetch(plan: PipelinePlan, config: SystemConfig,
 
 def build_pipeline_ops(plan: PipelinePlan, config: SystemConfig,
                        prefetch: tuple[PrefetchSchedule, ...] | None
-                       = None, pricer=None) -> OpSink:
+                       = None, pricer=None) -> OpTable:
     """Emit the pipeline's ops; stage *s* runs on channel ``s % P``.
 
     Emission walks every stage's program in slot order, interleaving
@@ -426,7 +426,7 @@ def build_pipeline_ops(plan: PipelinePlan, config: SystemConfig,
                             for i, m in enumerate(order)})
         stage_waste.append({m: waste_before.get(i, ())
                             for i, m in enumerate(order)})
-    ops = new_op_sink()
+    ops = OpTable()
     schedule = plan.schedule
     n_stages = schedule.n_stages
     chan = plan.channel_of
@@ -573,7 +573,7 @@ def build_pipeline_ops(plan: PipelinePlan, config: SystemConfig,
 
 
 def pipeline_stats(plan: PipelinePlan,
-                   timeline: Timeline) -> PipelineStats:
+                   timeline: ColumnarTimeline) -> PipelineStats:
     """Per-device bubble/compute accounting of a scheduled pipeline.
 
     Rows are physical devices (timeline channels); under the

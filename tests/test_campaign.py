@@ -91,6 +91,26 @@ class TestSerialization:
         replayed = SimulationResult.from_dict(result.to_dict())
         assert replayed.strategy is ParallelStrategy.MODEL
 
+    def test_non_mapping_sub_record_is_a_type_error(self):
+        data = simulate(design_point("DC-DLA"), "AlexNet", 512,
+                        ParallelStrategy.DATA).to_dict()
+        data["breakdown"] = None
+        with pytest.raises(TypeError, match="LatencyBreakdown"):
+            SimulationResult.from_dict(data)
+
+    def test_absent_keys(self):
+        """Only defaulted fields may be absent (legacy payloads)."""
+        data = simulate(design_point("DC-DLA"), "AlexNet", 512,
+                        ParallelStrategy.DATA).to_dict()
+        legacy = {k: v for k, v in data.items()
+                  if k not in ("mode", "prefetch", "faults")}
+        replayed = SimulationResult.from_dict(legacy)
+        assert replayed.mode.value == "training"
+        assert replayed.prefetch is None
+        del legacy["system"]
+        with pytest.raises(KeyError):
+            SimulationResult.from_dict(legacy)
+
 
 class TestCache:
     def test_miss_then_hit(self, cache):
@@ -113,12 +133,15 @@ class TestCache:
         assert len(new) == 1
 
     def test_corrupt_entry_is_a_miss(self, cache):
+        """Malformed JSON, and valid JSON that is not an object, both
+        read as misses (the miss re-simulates and rewrites the entry)."""
         run_campaign(SMALL_GRID[:1], cache=cache)
         (entry,) = cache.generation_root.glob("*/*.json")
-        entry.write_text("{not json")
-        report = run_campaign(SMALL_GRID[:1], cache=cache)
-        assert not report.outcomes[0].cached
-        assert report.outcomes[0].ok
+        for payload in ("{not json", "[]", "null", "3"):
+            entry.write_text(payload)
+            report = run_campaign(SMALL_GRID[:1], cache=cache)
+            assert not report.outcomes[0].cached, payload
+            assert report.outcomes[0].ok, payload
 
     def test_fingerprint_is_stable_within_process(self):
         assert code_fingerprint() == code_fingerprint()

@@ -2,8 +2,9 @@
 
 
 from repro.core.design_points import dc_dla, dc_dla_oracle, mc_dla_bw
+from repro.core.optable import schedule_ops
 from repro.core.schedule import build_iteration_ops, plan_iteration
-from repro.core.timeline import EngineKind, run_timeline
+from repro.core.timeline import EngineKind
 from repro.dnn.registry import build_network
 from repro.training.parallel import ParallelStrategy
 
@@ -115,15 +116,15 @@ class TestScheduleSemantics:
         fast = mc_dla_bw()
         plan_slow = plan_iteration(net, slow, 512, ParallelStrategy.DATA)
         plan_fast = plan_iteration(net, fast, 512, ParallelStrategy.DATA)
-        t_slow = run_timeline(build_iteration_ops(plan_slow, slow))
-        t_fast = run_timeline(build_iteration_ops(plan_fast, fast))
+        t_slow = schedule_ops(build_iteration_ops(plan_slow, slow))
+        t_fast = schedule_ops(build_iteration_ops(plan_fast, fast))
         assert t_slow.makespan > 2 * t_fast.makespan
 
     def test_makespan_at_least_compute(self):
         net = build_network("ResNet")
         for config in (dc_dla(), mc_dla_bw(), dc_dla_oracle()):
             plan = plan_iteration(net, config, 512, ParallelStrategy.DATA)
-            result = run_timeline(build_iteration_ops(plan, config))
+            result = schedule_ops(build_iteration_ops(plan, config))
             assert result.makespan \
                 >= result.busy_time(EngineKind.COMPUTE) - 1e-9
 
@@ -131,5 +132,5 @@ class TestScheduleSemantics:
         net = build_network("RNN-LSTM-1")
         config = mc_dla_bw()
         plan = plan_iteration(net, config, 512, ParallelStrategy.MODEL)
-        result = run_timeline(build_iteration_ops(plan, config))
+        result = schedule_ops(build_iteration_ops(plan, config))
         assert result.makespan > 0

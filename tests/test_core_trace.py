@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.core.design_points import dc_dla, design_point
+from repro.core.optable import OpTable, schedule_ops
 from repro.core.schedule import build_iteration_ops, plan_iteration
 from repro.core.simulator import iteration_timeline
-from repro.core.timeline import EngineKind, OpList, run_timeline
+from repro.core.timeline import EngineKind
 from repro.core.trace import (TAG_CATEGORIES, engine_utilization,
                               register_tag_category, tag_category,
                               to_chrome_trace, to_records)
@@ -21,7 +22,7 @@ def alexnet_timeline():
     config = dc_dla()
     plan = plan_iteration(build_network("AlexNet"), config, 64,
                           ParallelStrategy.DATA)
-    return run_timeline(build_iteration_ops(plan, config))
+    return schedule_ops(build_iteration_ops(plan, config))
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +174,7 @@ class TestUtilization:
         assert util["dma-out"] > util["comm"]
 
     def test_empty_timeline(self):
-        util = engine_utilization(run_timeline(OpList()))
+        util = engine_utilization(schedule_ops(OpTable()))
         assert all(v == 0.0 for v in util.values())
 
     def test_per_channel_matches_fleet_average(self, pipeline_timeline):
@@ -196,7 +197,7 @@ class TestUtilization:
                        for engine in EngineKind}
 
     def test_per_channel_empty_timeline(self):
-        per = engine_utilization(run_timeline(OpList()),
+        per = engine_utilization(schedule_ops(OpTable()),
                                  per_channel=True)
         assert all(v == 0.0 for v in per.values())
 

@@ -1,7 +1,9 @@
-"""Property tests of the columnar op table vs the scalar op list.
+"""Property tests of the columnar op table and its scheduler.
 
-Hypothesis drives random DAG-shaped op programs through both
-containers and both schedulers and holds them to exact equality:
+Hypothesis drives random DAG-shaped op programs through
+:func:`~repro.core.optable.schedule_ops` and holds it to exact
+equality with :func:`reference_schedule`, a plain per-op list
+scheduler kept here as the oracle:
 
 * identical start/finish/busy/makespan for every op (bitwise float
   equality -- both schedulers walk ops in uid order and accumulate in
@@ -10,7 +12,8 @@ containers and both schedulers and holds them to exact equality:
   equal timestamps (zero-duration ops pile up on one instant);
 * ``prev_slot_finish`` is exactly the engine-slot free time the
   scheduler saw when each op was issued;
-* validation parity: both containers reject the same malformed ops.
+* validation parity: the table rejects exactly the ops the
+  :class:`~repro.core.timeline.Op` view rejects.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.optable import (ENGINE_CODE, ColumnarTimeline, OpTable,
-                                schedule_ops, schedule_table)
-from repro.core.timeline import EngineKind, OpList, run_timeline
+from repro.core.optable import ENGINE_CODE, OpTable, schedule_ops
+from repro.core.timeline import EngineKind, Op, ScheduledOp
 
 ENGINES = tuple(EngineKind)
 
@@ -47,46 +49,77 @@ def op_programs(draw):
     return program
 
 
-def build_both(program) -> tuple[OpList, OpTable]:
-    op_list, table = OpList(), OpTable()
+def build(program) -> tuple[list[Op], OpTable]:
+    """The program as plain :class:`Op` records and as a table."""
+    ops, table = [], OpTable()
     for i, (engine, duration, deps, channel, nbytes) in enumerate(program):
         tag = f"op{i}"
-        a = op_list.add(engine, duration, deps, tag, nbytes=nbytes,
-                        channel=channel)
-        b = table.add(engine, duration, deps, tag, nbytes=nbytes,
-                      channel=channel)
-        assert a == b == i
-    return op_list, table
+        ops.append(Op(i, engine, duration, tuple(deps), tag, nbytes,
+                      channel))
+        assert table.add(engine, duration, deps, tag, nbytes=nbytes,
+                         channel=channel) == i
+    return ops, table
+
+
+class Reference:
+    """The seed's list scheduler, one :class:`ScheduledOp` per op: an
+    op starts once its (engine, channel) slot is free and every
+    dependency has finished."""
+
+    def __init__(self, ops: list[Op]) -> None:
+        free: dict[tuple[EngineKind, int], float] = {}
+        self.busy = dict.fromkeys(EngineKind, 0.0)
+        self.busy_per_channel: dict[tuple[EngineKind, int], float] = {}
+        self.scheduled: list[ScheduledOp] = []
+        for op in ops:
+            slot = (op.engine, op.channel)
+            ready = max((self.scheduled[d].finish for d in op.deps),
+                        default=0.0)
+            start = max(free.get(slot, 0.0), ready)
+            free[slot] = start + op.duration
+            self.busy[op.engine] += op.duration
+            self.busy_per_channel[slot] = \
+                self.busy_per_channel.get(slot, 0.0) + op.duration
+            self.scheduled.append(ScheduledOp(op, start, free[slot]))
+        self.makespan = max((s.finish for s in self.scheduled),
+                            default=0.0)
+        self.channels = tuple(sorted({op.channel for op in ops})) or (0,)
+
+    def ops_on(self, engine: EngineKind,
+               channel: int | None = None) -> list[ScheduledOp]:
+        return [s for s in self.scheduled if s.op.engine is engine
+                and (channel is None or s.op.channel == channel)]
 
 
 class TestSchedulerEquivalence:
     @given(op_programs())
     @settings(max_examples=100, deadline=None)
     def test_schedules_identically(self, program):
-        op_list, table = build_both(program)
-        ref = run_timeline(op_list)
-        col = schedule_table(table)
+        ops, table = build(program)
+        ref = Reference(ops)
+        col = schedule_ops(table)
 
+        assert table.ops == ops
         assert col.makespan == ref.makespan
         assert col.busy == ref.busy
         assert col.busy_per_channel == ref.busy_per_channel
         assert col.channels == ref.channels
         for uid in range(len(program)):
-            assert col.finish_of(uid) == ref.finish_of(uid)
-            assert col.scheduled[uid].start == ref.scheduled[uid].start
+            assert col.scheduled[uid] == ref.scheduled[uid]
+            assert col.finish_of(uid) == ref.scheduled[uid].finish
 
     @given(op_programs())
     @settings(max_examples=75, deadline=None)
     def test_no_reordering_across_equal_timestamps(self, program):
-        """``ops_on`` preserves issue (uid) order on both cores.
+        """``ops_on`` preserves issue (uid) order.
 
         With many zero-duration ops sharing one timestamp, a sort by
         start time could legally permute them; the contract is
         stronger -- event order IS uid order, always.
         """
-        op_list, table = build_both(program)
-        ref = run_timeline(op_list)
-        col = schedule_table(table)
+        ops, table = build(program)
+        ref = Reference(ops)
+        col = schedule_ops(table)
         for engine in ENGINES:
             for channel in (None, 0, 1, 2):
                 ref_ops = ref.ops_on(engine, channel)
@@ -100,8 +133,8 @@ class TestSchedulerEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_prev_slot_finish_matches_scheduler_state(self, program):
         """The recorded slot-free time replays the scheduler exactly."""
-        _, table = build_both(program)
-        col = schedule_table(table)
+        _, table = build(program)
+        col = schedule_ops(table)
         slot_free: dict[tuple[EngineKind, int], float] = {}
         for uid in range(len(program)):
             engine = table.engines[uid]
@@ -113,8 +146,8 @@ class TestSchedulerEquivalence:
     @given(op_programs())
     @settings(max_examples=60, deadline=None)
     def test_as_arrays_mirrors_columns(self, program):
-        _, table = build_both(program)
-        col = schedule_table(table)
+        _, table = build(program)
+        col = schedule_ops(table)
         arrays = col.as_arrays()
         n = len(program)
         assert all(arrays[k].shape == (n,) for k in arrays)
@@ -128,19 +161,13 @@ class TestSchedulerEquivalence:
 
 
 class TestContainerParity:
-    def test_schedule_ops_dispatches_both(self):
-        op_list, table = build_both(
-            [(EngineKind.COMPUTE, 1.0, [], 0, 0),
-             (EngineKind.DMA_IN, 2.0, [0], 0, 8)])
-        assert isinstance(schedule_ops(table), ColumnarTimeline)
-        ref = schedule_ops(op_list)
-        assert ref.makespan == schedule_ops(table).makespan
-
     def test_validation_parity_forward_dep(self):
-        for container in (OpList(), OpTable()):
-            container.add(EngineKind.COMPUTE, 1.0, [], "a")
+        table = OpTable()
+        table.add(EngineKind.COMPUTE, 1.0, [], "a")
+        for reject in (lambda: table.add(EngineKind.COMPUTE, 1.0, [5], "b"),
+                       lambda: Op(1, EngineKind.COMPUTE, 1.0, (5,), "b")):
             try:
-                container.add(EngineKind.COMPUTE, 1.0, [5], "b")
+                reject()
             except ValueError as exc:
                 assert "cycle" in str(exc)
             else:  # pragma: no cover - failure path
@@ -149,22 +176,20 @@ class TestContainerParity:
     def test_validation_parity_negative_fields(self):
         for kwargs in ({"duration": -1.0}, {"nbytes": -1},
                        {"channel": -1}):
-            for container in (OpList(), OpTable()):
-                base = {"engine": EngineKind.COMPUTE, "duration": 1.0,
-                        "deps": [], "tag": "x", "nbytes": 0,
-                        "channel": 0, **kwargs}
+            op = {"engine": EngineKind.COMPUTE, "duration": 1.0,
+                  "deps": (), "tag": "x", "nbytes": 0, "channel": 0,
+                  **kwargs}
+            for reject in (lambda: OpTable().add(**op),
+                           lambda: Op(uid=0, **op)):
                 try:
-                    container.add(base.pop("engine"),
-                                  base.pop("duration"),
-                                  base.pop("deps"), base.pop("tag"),
-                                  **base)
+                    reject()
                 except ValueError:
                     continue
                 raise AssertionError(  # pragma: no cover
-                    f"{type(container).__name__} accepted {kwargs}")
+                    f"accepted {kwargs}")
 
     def test_lazy_ops_materialization(self):
-        _, table = build_both(
+        _, table = build(
             [(EngineKind.COMPUTE, 1.0, [], 0, 0),
              (EngineKind.COMM, 0.5, [0], 1, 16)])
         ops = table.ops

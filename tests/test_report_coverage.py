@@ -10,8 +10,9 @@ import json
 import pytest
 
 from repro.core.design_points import design_point
+from repro.core.optable import OpTable, schedule_ops
 from repro.core.schedule import build_inference_ops, plan_inference
-from repro.core.timeline import EngineKind, OpList, run_timeline
+from repro.core.timeline import EngineKind
 from repro.core.trace import (TAG_CATEGORIES, engine_utilization,
                               register_tag_category, tag_category,
                               to_chrome_trace, to_records)
@@ -152,7 +153,7 @@ class TestInferenceTimelineExport:
         config = design_point("DC-DLA")
         plan = plan_inference(build_network("AlexNet"), config, 32,
                               ParallelStrategy.DATA)
-        return run_timeline(build_inference_ops(plan, config))
+        return schedule_ops(build_inference_ops(plan, config))
 
     def test_every_tag_categorizes_strictly(self, timeline):
         for scheduled in timeline.scheduled:
@@ -176,8 +177,8 @@ class TestInferenceTimelineExport:
         assert util["dma-out"] == 0.0  # inference pushes nothing back
 
     def test_single_op_utilization_is_full(self):
-        ops = OpList()
+        ops = OpTable()
         ops.add(EngineKind.COMPUTE, 1.0, [], tag="fwd:x")
-        util = engine_utilization(run_timeline(ops))
+        util = engine_utilization(schedule_ops(ops))
         assert util["compute"] == 1.0
         assert util["comm"] == 0.0

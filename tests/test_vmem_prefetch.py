@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.metrics import PrefetchStats
-from repro.core.timeline import EngineKind, OpList, run_timeline
+from repro.core.optable import OpTable, schedule_ops
+from repro.core.timeline import EngineKind
 from repro.vmem.prefetch import (ON_DEMAND, PREFETCH_POLICY_ORDER,
                                  FetchIssue, FetchSite, PrefetchContext,
                                  PrefetchSchedule, WasteFetch,
@@ -210,7 +211,7 @@ class TestChooseVictim:
 class TestStats:
     def _timeline(self):
         """offload -> prefetch -> compute consuming it, plus comm."""
-        ops = OpList()
+        ops = OpTable()
         off = ops.add(EngineKind.DMA_OUT, 1.0, [], tag="offload:a",
                       nbytes=100)
         pre = ops.add(EngineKind.DMA_IN, 2.0, [off], tag="prefetch:a",
@@ -219,7 +220,7 @@ class TestStats:
                 nbytes=40)
         ops.add(EngineKind.COMM, 2.0, [], tag="sync-fwd:x", nbytes=8)
         ops.add(EngineKind.COMPUTE, 1.0, [pre], tag="bwd:a")
-        return run_timeline(ops)
+        return schedule_ops(ops)
 
     def test_collect_counts_stall_and_waste(self):
         stats = collect_prefetch_stats(self._timeline(), "stride",
@@ -238,9 +239,9 @@ class TestStats:
         assert stats.contended_seconds == pytest.approx(2.0)
 
     def test_no_prefetches_is_a_perfect_hit_rate(self):
-        ops = OpList()
+        ops = OpTable()
         ops.add(EngineKind.COMPUTE, 1.0, [], tag="fwd:a")
-        stats = collect_prefetch_stats(run_timeline(ops), ON_DEMAND)
+        stats = collect_prefetch_stats(schedule_ops(ops), ON_DEMAND)
         assert stats.n_prefetches == 0
         assert stats.hit_rate == 1.0
         assert stats.stall_seconds == 0.0
