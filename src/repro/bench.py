@@ -4,7 +4,8 @@ Four suites time the simulator's subsystems end to end and write one
 JSON baseline each into the repository root:
 
 ========================  ============================================
-``BENCH_core.json``       single ``simulate()`` calls, cold and warm
+``BENCH_core.json``       single ``simulate()`` calls, cold and warm,
+                          plus one cold zb-auto pipeline cell
 ``BENCH_campaign.json``   the full 6x8x2 evaluation grid
 ``BENCH_cluster.json``    one multi-job cluster simulation
 ``BENCH_prefetch.json``   the prefetch-policy training sweep
@@ -95,10 +96,18 @@ def _time(fn, *, cold: bool) -> float:
 
 
 def _suite_core(quick: bool) -> dict[str, float]:
+    from dataclasses import replace
+
     from repro.core.design_points import design_point
     from repro.core.simulator import simulate
     from repro.training.parallel import ParallelStrategy
 
+    # One cold pipeline cell whose plan runs the zb-auto slot search.
+    zb_cfg = replace(design_point("MC-DLA(B)"),
+                     pipeline_schedule="zb-auto")
+    zb_auto = {"bert-mcb-zb-auto-cold": _time(
+        lambda: simulate(zb_cfg, "BERT-Large", 512,
+                         ParallelStrategy.PIPELINE), cold=True)}
     if quick:
         cfg = design_point("MC-DLA(B)")
 
@@ -109,7 +118,8 @@ def _suite_core(quick: bool) -> dict[str, float]:
                 simulate(cfg, "VGG-E", 256, ParallelStrategy.DATA)
 
         return {"alexnet-vgg-mcb-cold": _time(run, cold=True),
-                "alexnet-vgg-mcb-warm": _time(run, cold=False)}
+                "alexnet-vgg-mcb-warm": _time(run, cold=False),
+                **zb_auto}
     cfg = design_point("MC-DLA(B)")
     vgg = lambda: simulate(cfg, "VGG-E", 512,  # noqa: E731
                            ParallelStrategy.DATA)
@@ -117,7 +127,8 @@ def _suite_core(quick: bool) -> dict[str, float]:
                             ParallelStrategy.MODEL)
     return {"vgg-mcb-cold": _time(vgg, cold=True),
             "vgg-mcb-warm": _time(vgg, cold=False),
-            "googlenet-mcb-model-cold": _time(goog, cold=True)}
+            "googlenet-mcb-model-cold": _time(goog, cold=True),
+            **zb_auto}
 
 
 def _suite_campaign(quick: bool) -> dict[str, float]:

@@ -112,11 +112,13 @@ def clear_caches() -> None:
     _LAYER_BWD.clear()
     _LAYER_BWD_SPLIT.clear()
     _CLUSTER_CELLS.clear()
-    # The design-point registry memo lives with the factories; imported
-    # lazily because design_points sits above this module in the layer
-    # order.
+    # The design-point registry memo lives with the factories and the
+    # zb-auto search memo with the schedules; both imported lazily
+    # because they sit above this module in the layer order.
     from repro.core.design_points import clear_design_point_cache
     clear_design_point_cache()
+    from repro.pipeline.schedules import clear_search_cache
+    clear_search_cache()
 
 
 def _net_cache(net: "Network") -> dict:

@@ -26,6 +26,7 @@ at the stage's 1F1B warmup to stay under the same memory bound.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 
@@ -112,16 +113,26 @@ class Slot:
                 f"is_forward={self.is_forward}")
 
 
+# Slots are immutable values: the program builders share one instance
+# per (microbatch, kind) instead of constructing thousands per search.
+@functools.cache
 def _f(m: int) -> Slot:
     return Slot(m, True)
 
 
+@functools.cache
 def _b(m: int) -> Slot:
     return Slot(m, False)
 
 
+@functools.cache
 def _w(m: int) -> Slot:
     return Slot(m, False, OpKind.W)
+
+
+#: ``OpKind`` -> the small-int code of :attr:`StageProgram._ops`.
+_F, _B, _W = 0, 1, 2
+_KIND_CODE = {OpKind.F: _F, OpKind.B: _B, OpKind.W: _W}
 
 
 @dataclass(frozen=True)
@@ -140,6 +151,15 @@ class StageProgram:
     _w_before: tuple = field(default=(), init=False, repr=False,
                              compare=False)
 
+    #: ``(kind code, microbatch)`` per slot: the compiled form
+    #: :func:`evaluate_makespan` walks.
+    _ops: tuple = field(default=(), init=False, repr=False,
+                        compare=False)
+
+    #: One past the largest microbatch index (0 for an empty program).
+    _width: int = field(default=0, init=False, repr=False,
+                        compare=False)
+
     def __post_init__(self) -> None:
         index: dict[tuple[int, OpKind], int] = {}
         w_before = [0]
@@ -148,11 +168,20 @@ class StageProgram:
             if key in index:
                 raise ValueError(
                     f"stage {self.stage} repeats slot {key}")
+            if slot.microbatch < 0:
+                raise ValueError(
+                    f"stage {self.stage} has negative microbatch "
+                    f"{slot.microbatch}")
             index[key] = position
             w_before.append(w_before[-1]
                             + (slot.kind is OpKind.W))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_w_before", tuple(w_before))
+        object.__setattr__(self, "_ops", tuple(
+            (_KIND_CODE[slot.kind], slot.microbatch)
+            for slot in self.slots))
+        object.__setattr__(self, "_width", 1 + max(
+            (slot.microbatch for slot in self.slots), default=-1))
 
     def slot_index(self, microbatch: int, is_forward: bool) -> int:
         kind = OpKind.F if is_forward else OpKind.B
@@ -322,46 +351,83 @@ def evaluate_makespan(programs: tuple[StageProgram, ...],
     than occupying a COMM engine.  It is the auto-scheduler's cheap
     inner-loop objective; the found schedule is validated by replaying
     through ``simulate()``.
+
+    A slot whose dependency has not finished yet (including one later
+    in its own stage's program) waits; programs that can never drain
+    raise ``RuntimeError``.  Each finish time is
+    ``max(engine free, ready) + cost``, so the result is the same float
+    in whatever order the stages are visited.
     """
     n_stages = len(programs)
+    last = n_stages - 1
+    ops = [program._ops for program in programs]
+    width = max((program._width for program in programs), default=0)
+    # Finish times per stage, indexed by microbatch (None: not yet).
+    f_done = [[None] * width for _ in range(n_stages)]
+    b_done = [[None] * width for _ in range(n_stages)]
     cursors = [0] * n_stages
     engine_free = [0.0] * n_stages
-    f_done: dict[tuple[int, int], float] = {}
-    b_done: dict[tuple[int, int], float] = {}
-    total = sum(len(p.slots) for p in programs)
+    total = sum(len(stage_ops) for stage_ops in ops)
     emitted = 0
     progress = True
     while progress:
         progress = False
         for s in range(n_stages):
-            slots = programs[s].slots
-            while cursors[s] < len(slots):
-                slot = slots[cursors[s]]
-                m = slot.microbatch
-                if slot.kind is OpKind.F:
-                    if s > 0:
-                        if (s - 1, m) not in f_done:
-                            break
-                        ready = f_done[(s - 1, m)] + costs.send_fwd[s - 1]
-                    else:
+            stage_ops = ops[s]
+            start = cursor = cursors[s]
+            end = len(stage_ops)
+            if cursor == end:
+                continue
+            free = engine_free[s]
+            own_f = f_done[s]
+            own_b = b_done[s]
+            upstream = f_done[s - 1] if s > 0 else None
+            downstream = b_done[s + 1] if s < last else None
+            t_fwd = costs.t_fwd[s]
+            t_bwd = costs.t_bwd[s]
+            t_wgrad = costs.t_wgrad[s]
+            send_in = costs.send_fwd[s - 1] if s > 0 else 0.0
+            grad_in = costs.send_bwd[s + 1] if s < last else 0.0
+            while cursor < end:
+                code, m = stage_ops[cursor]
+                if code == _F:
+                    if upstream is None:
                         ready = 0.0
-                    finish = max(engine_free[s], ready) + costs.t_fwd[s]
-                    f_done[(s, m)] = finish
-                elif slot.kind is OpKind.B:
-                    if s < n_stages - 1:
-                        if (s + 1, m) not in b_done:
-                            break
-                        ready = b_done[(s + 1, m)] + costs.send_bwd[s + 1]
                     else:
-                        ready = f_done[(s, m)]
-                    finish = max(engine_free[s], ready) + costs.t_bwd[s]
-                    b_done[(s, m)] = finish
+                        ready = upstream[m]
+                        if ready is None:
+                            break
+                        ready = ready + send_in
+                    if ready > free:
+                        free = ready
+                    free = free + t_fwd
+                    own_f[m] = free
+                elif code == _B:
+                    if downstream is None:
+                        ready = own_f[m]
+                        if ready is None:
+                            break
+                    else:
+                        ready = downstream[m]
+                        if ready is None:
+                            break
+                        ready = ready + grad_in
+                    if ready > free:
+                        free = ready
+                    free = free + t_bwd
+                    own_b[m] = free
                 else:
-                    finish = max(engine_free[s], b_done[(s, m)]) \
-                        + costs.t_wgrad[s]
-                engine_free[s] = finish
-                cursors[s] += 1
-                emitted += 1
+                    ready = own_b[m]
+                    if ready is None:
+                        break
+                    if ready > free:
+                        free = ready
+                    free = free + t_wgrad
+                cursor += 1
+            if cursor != start:
+                engine_free[s] = free
+                cursors[s] = cursor
+                emitted += cursor - start
                 progress = True
     if emitted != total:
         raise RuntimeError(
@@ -370,39 +436,74 @@ def evaluate_makespan(programs: tuple[StageProgram, ...],
     return max(engine_free) if engine_free else 0.0
 
 
+#: ``(n_stages, n_microbatches, costs)`` -> searched per-stage params,
+#: process-wide; emptied by :func:`clear_search_cache`.
+_SEARCH_MEMO: dict = {}
+
+
+def clear_search_cache() -> None:
+    """Forget every memoised zb-auto search result."""
+    _SEARCH_MEMO.clear()
+
+
 def _auto_zero_bubble_params(n_stages: int, n_microbatches: int,
                              costs: ScheduleCosts) \
-        -> list[tuple[int, int]]:
+        -> tuple[tuple[int, int], ...]:
     """Coordinate descent over per-stage (defer, drain_w) knobs.
 
     Starts at the ZB-H1 heuristic and greedily improves one stage at a
     time against the analytic makespan, two sweeps.  Deterministic;
     the deferral depth never exceeds the stage's warmup, keeping the
-    weight-grad-input backlog under the 1F1B memory bound.
+    weight-grad-input backlog under the 1F1B memory bound.  The result
+    is memoised per ``(n_stages, n_microbatches, costs)``.
     """
+    key = (n_stages, n_microbatches, costs)
+    params = _SEARCH_MEMO.get(key)
+    if params is None:
+        params = _SEARCH_MEMO[key] = _search_zero_bubble_params(
+            n_stages, n_microbatches, costs)
+    return params
 
-    def build(params: list[tuple[int, int]]) \
-            -> tuple[StageProgram, ...]:
-        return tuple(
-            _zero_bubble_program(s, n_stages, n_microbatches, d, k)
-            for s, (d, k) in enumerate(params))
+
+def _search_zero_bubble_params(n_stages: int, n_microbatches: int,
+                               costs: ScheduleCosts) \
+        -> tuple[tuple[int, int], ...]:
+    """The uncached search behind :func:`_auto_zero_bubble_params`.
+
+    Each ``(stage, defer, drain_w)`` program is built once.  A trial
+    whose program has the incumbent's slots (the incumbent's own knobs
+    among them) is skipped: its makespan would equal ``best`` and so
+    could not be accepted.
+    """
+    built: dict[tuple[int, int, int], StageProgram] = {}
+
+    def program(stage: int, defer: int, drain_w: int) -> StageProgram:
+        key = (stage, defer, drain_w)
+        found = built.get(key)
+        if found is None:
+            found = built[key] = _zero_bubble_program(
+                stage, n_stages, n_microbatches, defer, drain_w)
+        return found
 
     params = _zb_h1_params(n_stages, n_microbatches)
-    best = evaluate_makespan(build(params), costs)
+    current = [program(s, d, k) for s, (d, k) in enumerate(params)]
+    best = evaluate_makespan(tuple(current), costs)
     for _ in range(2):
         for s in range(n_stages):
             warmup = min(n_stages - 1 - s, n_microbatches)
             for defer in sorted({0, warmup // 2, warmup}):
                 for drain_w in (0, 1, 2, n_microbatches):
-                    if (defer, drain_w) == params[s]:
+                    candidate = program(s, defer, drain_w)
+                    if candidate.slots == current[s].slots:
                         continue
-                    trial = list(params)
-                    trial[s] = (defer, drain_w)
-                    span = evaluate_makespan(build(trial), costs)
+                    trial = list(current)
+                    trial[s] = candidate
+                    span = evaluate_makespan(tuple(trial), costs)
                     if span < best * (1.0 - 1e-12):
                         best = span
-                        params = trial
-    return params
+                        params[s] = (defer, drain_w)
+                        current = trial
+    return tuple(params)
 
 
 def build_schedule(kind: ScheduleKind, n_stages: int,

@@ -144,6 +144,27 @@ class TestZeroBubblePrograms:
         with pytest.raises(RuntimeError, match="deadlock"):
             evaluate_makespan(programs, _unit_costs(2))
 
+    def test_evaluate_makespan_w_before_its_b_deadlocks(self):
+        from repro.pipeline.schedules import StageProgram
+        programs = (StageProgram(stage=0, slots=(
+            Slot(0, True), Slot(0, False, OpKind.W), Slot(0, False))),)
+        with pytest.raises(RuntimeError, match="deadlock"):
+            evaluate_makespan(programs, _unit_costs(1))
+
+    def test_evaluate_makespan_loss_b_before_its_f_deadlocks(self):
+        from repro.pipeline.schedules import StageProgram
+        programs = (
+            StageProgram(stage=0, slots=(Slot(0, True), Slot(0, False))),
+            StageProgram(stage=1, slots=(Slot(0, False), Slot(0, True))),
+        )
+        with pytest.raises(RuntimeError, match="deadlock"):
+            evaluate_makespan(programs, _unit_costs(2))
+
+    def test_stage_program_rejects_negative_microbatch(self):
+        from repro.pipeline.schedules import StageProgram
+        with pytest.raises(ValueError, match="negative microbatch"):
+            StageProgram(stage=0, slots=(Slot(-1, True),))
+
     def test_structural_bound_drops_with_wgrad_split(self):
         base = structural_bubble_time(4, 1.0, 2.0)
         split = structural_bubble_time(4, 1.0, 2.0, t_wgrad=0.5)
