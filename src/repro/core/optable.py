@@ -27,6 +27,9 @@ byte-deterministic; ``tests/golden/core_results.json`` pins them.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.timeline import EngineKind, Op, ScheduledOp
@@ -72,6 +75,23 @@ CODE_ENGINE: tuple[EngineKind, ...] = tuple(
     sorted(ENGINE_CODE, key=ENGINE_CODE.__getitem__))
 
 
+class _EngineView(Sequence):
+    """Read-only :class:`EngineKind` view of an op table's code column."""
+
+    __slots__ = ("_codes",)
+
+    def __init__(self, codes: list[int]) -> None:
+        self._codes = codes
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [CODE_ENGINE[c] for c in self._codes[index]]
+        return CODE_ENGINE[self._codes[index]]
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+
 class OpTable:
     """Struct-of-arrays op container.
 
@@ -81,14 +101,13 @@ class OpTable:
     :class:`~repro.core.timeline.Op` exactly.
     """
 
-    __slots__ = ("engines", "codes", "durations", "deps", "tags",
-                 "nbytes", "channels", "_ops")
+    __slots__ = ("codes", "durations", "deps", "tags", "nbytes",
+                 "channels", "_ops")
 
     def __init__(self) -> None:
-        self.engines: list[EngineKind] = []
-        #: Parallel :data:`ENGINE_CODE` ints -- the scheduler keys its
-        #: slot dicts on these (int hashing beats enum hashing by an
-        #: order of magnitude over a campaign's worth of ops).
+        #: :data:`ENGINE_CODE` ints -- the scheduler keys its slot dicts
+        #: on these (int hashing beats enum hashing by an order of
+        #: magnitude over a campaign's worth of ops).
         self.codes: list[int] = []
         self.durations: list[float] = []
         self.deps: list[tuple[int, ...]] = []
@@ -97,21 +116,28 @@ class OpTable:
         self.channels: list[int] = []
         self._ops: list[Op] | None = None
 
+    @property
+    def engines(self) -> Sequence[EngineKind]:
+        """The engine of each op, as a read-only view of ``codes``."""
+        return _EngineView(self.codes)
+
     def add(self, engine: EngineKind, duration: float, deps: list[int],
             tag: str, nbytes: int = 0, channel: int = 0) -> int:
         """Append one op; returns its uid (dense, in issue order)."""
         uid = len(self.durations)
-        if duration < 0:
-            raise ValueError(f"op {tag}: negative duration")
+        if not duration >= 0:
+            raise ValueError(f"op {tag}: negative or NaN duration")
         if nbytes < 0:
             raise ValueError(f"op {tag}: negative byte count")
         if channel < 0:
             raise ValueError(f"op {tag}: negative channel")
         dep_tuple = tuple(deps)
-        if dep_tuple and max(dep_tuple) >= uid:
-            raise ValueError(
-                f"op {tag}: dependency on a later op (cycle)")
-        self.engines.append(engine)
+        if dep_tuple:
+            if max(dep_tuple) >= uid:
+                raise ValueError(
+                    f"op {tag}: dependency on a later op (cycle)")
+            if min(dep_tuple) < 0:
+                raise ValueError(f"op {tag}: negative dependency uid")
         self.codes.append(ENGINE_CODE[engine])
         self.durations.append(duration)
         self.deps.append(dep_tuple)
@@ -130,12 +156,119 @@ class OpTable:
         for trace export and tests that introspect tags/deps."""
         if self._ops is None or len(self._ops) != len(self.durations):
             self._ops = [
-                Op(uid=i, engine=self.engines[i],
+                Op(uid=i, engine=CODE_ENGINE[self.codes[i]],
                    duration=self.durations[i], deps=self.deps[i],
                    tag=self.tags[i], nbytes=self.nbytes[i],
                    channel=self.channels[i])
                 for i in range(len(self.durations))]
         return self._ops
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class OpTopology:
+    """An op graph without its prices: what the emitters memoise.
+
+    Holds every op's engine code, dependencies and tag, plus two
+    source indices per op -- into the cell's duration vector and into
+    its byte vector (byte index 0 is reserved for "moves nothing").
+    Many cells share one topology and differ only in those vectors, so
+    :meth:`table` re-prices a cached topology in a few vector ops.
+
+    Storage is compact because topologies live for the whole process:
+    one byte per engine code, CSR int32 dependencies (op *i* depends on
+    ``dep_flat[dep_ptr[i]:dep_ptr[i + 1]]``), int32 source indices.
+    """
+
+    codes: bytes
+    dep_ptr: np.ndarray
+    dep_flat: np.ndarray
+    tags: tuple[str, ...]
+    dur_src: np.ndarray
+    byte_src: np.ndarray
+    #: Emitter-specific name tuples the pricing pass turns into the
+    #: duration and byte vectors (see :mod:`repro.core.schedule`).
+    segments: dict[str, tuple]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def table(self, seconds: list[float], nbytes: list[int]) -> OpTable:
+        """Gather one cell's prices into an ordinary :class:`OpTable`.
+
+        ``seconds`` / ``nbytes`` are the cell's duration and byte
+        vectors; every op reads its entries through the source
+        indices.  Rejects NaN as well as negative durations.
+        """
+        durations = np.asarray(seconds, dtype=np.float64)[self.dur_src]
+        sizes = np.asarray(nbytes, dtype=np.int64)[self.byte_src]
+        if not (durations >= 0).all():
+            bad = int(np.argmin(durations >= 0))
+            raise ValueError(f"op {self.tags[bad]}: negative or NaN "
+                             f"duration")
+        if not (sizes >= 0).all():
+            bad = int(np.argmin(sizes >= 0))
+            raise ValueError(f"op {self.tags[bad]}: negative byte count")
+        flat = self.dep_flat.tolist()
+        ptr = self.dep_ptr.tolist()
+        table = OpTable()
+        table.codes = list(self.codes)
+        table.durations = durations.tolist()
+        table.deps = [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
+        table.tags = list(self.tags)
+        table.nbytes = sizes.tolist()
+        table.channels = [0] * len(self.codes)
+        return table
+
+
+class TopologyBuilder:
+    """Append-only builder of an :class:`OpTopology`.
+
+    Mirrors :meth:`OpTable.add`, with value-vector indices where the
+    table takes a duration and a byte count.  Tags are drawn from
+    ``tag_pool`` so topologies of one network share their strings.
+    """
+
+    __slots__ = ("tag_pool", "codes", "deps", "tags", "dur_src",
+                 "byte_src")
+
+    def __init__(self, tag_pool: dict[str, str]) -> None:
+        self.tag_pool = tag_pool
+        self.codes: list[int] = []
+        self.deps: list[tuple[int, ...]] = []
+        self.tags: list[str] = []
+        self.dur_src: list[int] = []
+        self.byte_src: list[int] = []
+
+    def add(self, engine: EngineKind, dur_src: int, deps: list[int],
+            tag: str, byte_src: int = 0) -> int:
+        """Append one op; returns its uid (dense, in issue order)."""
+        uid = len(self.codes)
+        if any(not 0 <= d < uid for d in deps):
+            raise ValueError(
+                f"op {tag}: dependency on a later op (cycle)")
+        self.codes.append(ENGINE_CODE[engine])
+        self.deps.append(tuple(deps))
+        self.tags.append(self.tag_pool.setdefault(tag, tag))
+        self.dur_src.append(dur_src)
+        self.byte_src.append(byte_src)
+        return uid
+
+    def freeze(self, **segments: tuple) -> OpTopology:
+        """The compact, immutable topology of everything added."""
+        arrays = (
+            np.cumsum([0] + [len(dep) for dep in self.deps],
+                      dtype=np.int32),
+            np.array([d for dep in self.deps for d in dep],
+                     dtype=np.int32),
+            np.array(self.dur_src, dtype=np.int32),
+            np.array(self.byte_src, dtype=np.int32))
+        for array in arrays:
+            array.flags.writeable = False
+        dep_ptr, dep_flat, dur_src, byte_src = arrays
+        return OpTopology(
+            codes=bytes(self.codes), dep_ptr=dep_ptr, dep_flat=dep_flat,
+            tags=tuple(self.tags), dur_src=dur_src, byte_src=byte_src,
+            segments=segments)
 
 
 class ColumnarTimeline:

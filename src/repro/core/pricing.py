@@ -26,6 +26,10 @@ derivations through:
 * :class:`MemoPricer` -- wraps a per-transfer DMA pricer with a
   size-keyed memo and, when the model provides one, a vectorized
   ``array`` variant for whole fetch lists;
+* :func:`cached_topology` -- the op graphs of the training and
+  inference emitters (engines, dependencies, tags, value-source
+  indices) per structure key, so a cell re-prices a graph the process
+  has already built instead of re-deriving it;
 * :func:`cached_cluster_cell` -- cross-instance memo for the cluster
   cost oracle, so four scheduling policies price one design's job
   classes with one set of ``simulate()`` calls.
@@ -51,6 +55,7 @@ from repro.vmem.policy import MigrationPolicy, TensorPlan
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.accelerator.device import DeviceSpec
     from repro.core.metrics import SimulationResult
+    from repro.core.optable import OpTopology
     from repro.core.system import CollectiveModel, SystemConfig
     from repro.dnn.graph import Network
     from repro.dnn.layers import Layer
@@ -81,7 +86,7 @@ _CLUSTER_CELLS: dict = {}
 #: hook so the lookup paths never test an enabled flag.
 _MEMO_NAMES = ("partition", "migration", "layer-times", "layer-fwd",
                "layer-bwd", "layer-bwd-split", "collective", "dma",
-               "cluster-cell")
+               "topology", "cluster-cell")
 _HITS: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 _MISSES: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 
@@ -194,6 +199,28 @@ def layer_times(net: "Network", device: "DeviceSpec", batch: int,
     else:
         _HITS["layer-times"].inc()
     return cache[key]
+
+
+def cached_topology(net: "Network", key: tuple,
+                    build: Callable[[dict[str, str]], "OpTopology"]) \
+        -> "OpTopology":
+    """Memoized emitter op graph for one structure ``key``.
+
+    ``key`` must cover everything ``build`` branches on; prices and
+    byte counts stay out of it, so cells that differ only in batch,
+    device or design share one entry.  Keyed on the network's
+    ``version`` like every per-network memo.  ``build`` receives the
+    network's tag pool, so its topologies share their tag strings.
+    """
+    full_key = ("topology", net.version, key)
+    cache = _net_cache(net)
+    topology = cache.get(full_key)
+    if topology is None:
+        _MISSES["topology"].inc()
+        topology = cache[full_key] = build(cache.setdefault("tags", {}))
+    else:
+        _HITS["topology"].inc()
+    return topology
 
 
 def layer_fwd_time(device: "DeviceSpec", layer: "Layer",
@@ -316,16 +343,23 @@ class MemoPricer:
         return cache[nbytes]
 
     def many(self, sizes: list[int]) -> list[float]:
-        """Price a list of transfer sizes (vectorized when possible)."""
-        if self.array_fn is not None and len(sizes) > 2:
-            # The array variant recomputes every size regardless of
-            # what the memo holds, so the whole batch counts as misses.
-            _MISSES["dma"].inc(len(sizes))
-            priced = self.array_fn(sizes)
-            out = [float(x) for x in priced]
-            self.cache.update(zip(sizes, out))
-            return out
-        return [self(n) for n in sizes]
+        """Price a list of transfer sizes (vectorized when possible).
+
+        Sizes the memo already holds are served from it; the rest are
+        priced once each, through the array variant when there are
+        more than two.
+        """
+        cache = self.cache
+        missing = list(dict.fromkeys(n for n in sizes if n not in cache))
+        if self.array_fn is not None and len(missing) > 2:
+            cache.update(zip(missing,
+                             [float(x) for x in self.array_fn(missing)]))
+        else:
+            for nbytes in missing:
+                cache[nbytes] = self.fn(nbytes)
+        _MISSES["dma"].inc(len(missing))
+        _HITS["dma"].inc(len(sizes) - len(missing))
+        return [cache[n] for n in sizes]
 
 
 def cached_cluster_cell(config: "SystemConfig", key: tuple,

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable
+from typing import NamedTuple
 
 from repro.core import pricing
-from repro.core.optable import OpTable
+from repro.core.optable import OpTable, OpTopology, TopologyBuilder
 from repro.core.system import SystemConfig
 from repro.core.timeline import EngineKind
 from repro.dnn.graph import Network
@@ -306,29 +307,56 @@ def plan_inference_prefetch(plan: InferencePlan, config: SystemConfig,
     return prefetch_policy(config.prefetch_policy).plan(ctx)
 
 
-def build_inference_ops(plan: InferencePlan, config: SystemConfig,
-                        prefetch: PrefetchSchedule | None = None,
-                        pricer: Callable[[int], float] | None = None) \
-        -> OpTable:
-    """Emit one forward-only batch's ops in issue order.
+def _waste_by_site(waste: tuple[tuple[int, int | None, str], ...]) \
+        -> dict[int, list[tuple[int, int | None, str]]]:
+    """``(index, gate_step, label)`` of each waste fetch, grouped by the
+    site it precedes (``index`` is its position in ``waste``)."""
+    grouped: dict[int, list[tuple[int, int | None, str]]] = {}
+    for index, (site, gate_step, label) in enumerate(waste):
+        grouped.setdefault(site, []).append((index, gate_step, label))
+    return grouped
 
-    Weight fetches ride the prefetch DMA engine, gated per the active
-    prefetch policy (the legacy bounded lookahead under ``on-demand``),
-    so a fast backing store hides them behind compute and a slow one
-    exposes them -- the serving-time memory wall.
+
+def _waste_shape(prefetch: PrefetchSchedule) \
+        -> tuple[tuple[int, int | None, str], ...]:
+    return tuple((w.before_site, w.gate_step, w.label)
+                 for w in prefetch.waste)
+
+
+class InferenceShape(NamedTuple):
+    """Everything the inference structural pass branches on: the memo
+    key of a forward-only op graph.  Prices and byte counts are values,
+    so batch and design stay out of it."""
+
+    strategy: ParallelStrategy
+    #: Layers whose weights stream from the backing store, in net order.
+    streamed: tuple[str, ...]
+    #: Non-input layers with a forward collective, in net order.
+    fwd_syncs: tuple[str, ...]
+    #: The prefetch policy's issue gate step per fetch site.
+    gates: tuple[int | None, ...]
+    #: ``(before_site, gate_step, label)`` per speculative waste fetch.
+    waste: tuple[tuple[int, int | None, str], ...]
+
+
+def _inference_topology(net: Network, shape: InferenceShape,
+                        tag_pool: dict[str, str]) -> OpTopology:
+    """The structural pass of one forward-only batch.
+
+    Durations index ``fwd seconds per layer | shared`` and byte counts
+    ``0 | shared``, where ``shared`` is one entry per forward
+    collective, then per streamed weight, then per waste fetch.
     """
-    if pricer is None:
-        pricer = inference_pricer(plan, config)
-    if prefetch is None:
-        prefetch = plan_inference_prefetch(plan, config, pricer)
-    waste_before = prefetch.waste_before()
-    ops = OpTable()
-    collective = pricing.collective_pricer(config.collectives)
-    times = pricing.layer_times(plan.net, config.device, plan.batch,
-                                plan.strategy, config.n_devices)
-    net = plan.net
-    parts = plan.parts
+    layers = tuple(net.layer_names)
+    fwd_at = {name: i for i, name in enumerate(layers)}
+    shared = len(layers)
+    sync_at = {name: i for i, name in enumerate(shape.fwd_syncs)}
+    fetch_at = {name: len(sync_at) + i
+                for i, name in enumerate(shape.streamed)}
+    waste0 = len(sync_at) + len(fetch_at)
+    waste_before = _waste_by_site(shape.waste)
 
+    ops = TopologyBuilder(tag_pool)
     ready: dict[str, int | None] = {}
     sync_uid: dict[str, int] = {}
     computes: list[int] = []
@@ -337,12 +365,10 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
     def fetch_gate(gate_step: int | None) -> list[int]:
         return [] if gate_step is None else [computes[gate_step]]
 
-    for name in net.layer_names:
-        layer = net.layer(name)
-        if layer.kind is LayerKind.INPUT:
+    for name in layers:
+        if net.layer(name).kind is LayerKind.INPUT:
             ready[name] = None
             continue
-        part = parts[name]
 
         preds = net.predecessors(name)
         deps = [ready[p] for p in preds if ready.get(p) is not None]
@@ -353,32 +379,252 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
                 if gp in sync_uid:
                     deps.append(sync_uid[gp])
 
-        if name in plan.streamed_weights:
-            issue = prefetch.issues[site_index]
-            for waste in waste_before.get(site_index, ()):
-                ops.add(EngineKind.DMA_IN, pricer(waste.nbytes),
-                        fetch_gate(waste.gate_step),
-                        tag=f"waste:{waste.label}", nbytes=waste.nbytes)
+        if name in fetch_at:
+            gate_step = shape.gates[site_index]
+            for index, waste_gate, label in waste_before.get(site_index,
+                                                             ()):
+                k = waste0 + index
+                ops.add(EngineKind.DMA_IN, shared + k,
+                        fetch_gate(waste_gate), tag=f"waste:{label}",
+                        byte_src=1 + k)
             site_index += 1
-            nbytes = plan.streamed_weights[name]
-            fetch = ops.add(EngineKind.DMA_IN, pricer(nbytes),
-                            fetch_gate(issue.gate_step),
-                            tag=f"wfetch:{name}", nbytes=nbytes)
-            deps.append(fetch)
+            k = fetch_at[name]
+            deps.append(ops.add(EngineKind.DMA_IN, shared + k,
+                                fetch_gate(gate_step),
+                                tag=f"wfetch:{name}", byte_src=1 + k))
 
-        compute = ops.add(EngineKind.COMPUTE, times[name][0],
-                          deps, tag=f"fwd:{name}")
+        compute = ops.add(EngineKind.COMPUTE, fwd_at[name], deps,
+                          tag=f"fwd:{name}")
         computes.append(compute)
-        if part.fwd_sync is not None:
-            sync_uid[name] = ops.add(
-                EngineKind.COMM,
-                collective(part.fwd_sync.primitive,
-                           part.fwd_sync.nbytes),
-                [compute], tag=f"sync-fwd:{name}",
-                nbytes=part.fwd_sync.nbytes)
+        if name in sync_at:
+            k = sync_at[name]
+            sync_uid[name] = ops.add(EngineKind.COMM, shared + k,
+                                     [compute], tag=f"sync-fwd:{name}",
+                                     byte_src=1 + k)
         ready[name] = compute
 
-    return ops
+    return ops.freeze(layers=layers)
+
+
+def build_inference_ops(plan: InferencePlan, config: SystemConfig,
+                        prefetch: PrefetchSchedule | None = None,
+                        pricer: Callable[[int], float] | None = None) \
+        -> OpTable:
+    """Emit one forward-only batch's ops in issue order.
+
+    Weight fetches ride the prefetch DMA engine, gated per the active
+    prefetch policy (the legacy bounded lookahead under ``on-demand``),
+    so a fast backing store hides them behind compute and a slow one
+    exposes them -- the serving-time memory wall.
+
+    The op graph comes from the process-wide topology memo (built by
+    the structural pass on a miss); this pricing pass only fills in the
+    cell's durations and byte counts.
+    """
+    if pricer is None:
+        pricer = inference_pricer(plan, config)
+    if prefetch is None:
+        prefetch = plan_inference_prefetch(plan, config, pricer)
+    net = plan.net
+    parts = plan.parts
+    shape = InferenceShape(
+        strategy=plan.strategy,
+        streamed=tuple(plan.streamed_weights),
+        fwd_syncs=tuple(name for name, part in parts.items()
+                        if part.fwd_sync is not None
+                        and part.kind is not LayerKind.INPUT),
+        gates=tuple(issue.gate_step for issue in prefetch.issues),
+        waste=_waste_shape(prefetch))
+    topology = pricing.cached_topology(
+        net, shape, lambda pool: _inference_topology(net, shape, pool))
+
+    times = pricing.layer_times(net, config.device, plan.batch,
+                                plan.strategy, config.n_devices)
+    collective = pricing.collective_pricer(config.collectives)
+    syncs = [parts[name].fwd_sync for name in shape.fwd_syncs]
+    sizes = ([plan.streamed_weights[name] for name in shape.streamed]
+             + [waste.nbytes for waste in prefetch.waste])
+    seconds = [times[name][0] for name in topology.segments["layers"]]
+    seconds += [collective(sync.primitive, sync.nbytes) for sync in syncs]
+    seconds += _price_many(pricer, sizes)
+    return topology.table(seconds,
+                          [0] + [sync.nbytes for sync in syncs] + sizes)
+
+
+class TrainingShape(NamedTuple):
+    """Everything the training structural pass branches on: the memo
+    key of one iteration's op graph.  Prices and byte counts are
+    values, so batch, device and design stay out of it."""
+
+    strategy: ParallelStrategy
+    offload_window: int
+    fwd_order: tuple[str, ...]
+    bwd_order: tuple[str, ...]
+    prefetch_sites: tuple[tuple[str, tuple[str, ...]], ...]
+    recompute_sites: tuple[tuple[str, tuple[str, ...]], ...]
+    #: Non-input layers with a forward collective, in forward order.
+    fwd_syncs: tuple[str, ...]
+    #: Layers with a backward collective, in backward order.
+    bwd_syncs: tuple[str, ...]
+    #: The prefetch policy's issue gate step per fetch site.
+    gates: tuple[int | None, ...]
+    #: ``(before_site, gate_step, label)`` per speculative waste fetch.
+    waste: tuple[tuple[int, int | None, str], ...]
+    #: Layers whose weight grad is a separate op, in backward order;
+    #: ``None`` when the backward pass is not split.
+    wgrad: tuple[str, ...] | None
+
+
+def _training_topology(net: Network, shape: TrainingShape,
+                       tag_pool: dict[str, str]) -> OpTopology:
+    """The structural pass of one training iteration.
+
+    Durations index ``fwd seconds per layer | bwd seconds per layer |
+    wgrad seconds | shared`` and byte counts ``0 | shared``, where
+    ``shared`` is one entry per forward collective, per backward
+    collective, per offloaded tensor (its offload and its prefetch move
+    the same shard), then per waste fetch.
+    """
+    layers = shape.fwd_order
+    prefetch_sites = dict(shape.prefetch_sites)
+    recompute_sites = dict(shape.recompute_sites)
+    is_input = {name: net.layer(name).kind is LayerKind.INPUT
+                for name in layers}
+    offloads = tuple(producer for name in layers if not is_input[name]
+                     for producer in prefetch_sites.get(name, ()))
+    wgrad = shape.wgrad or ()
+    model_parallel = shape.strategy is ParallelStrategy.MODEL
+    window = shape.offload_window
+
+    fwd_at = {name: i for i, name in enumerate(layers)}
+    bwd0 = len(layers)
+    wgrad_at = {name: 2 * len(layers) + i for i, name in enumerate(wgrad)}
+    shared = 2 * len(layers) + len(wgrad)
+    fsync_at = {name: i for i, name in enumerate(shape.fwd_syncs)}
+    bsync_at = {name: len(fsync_at) + i
+                for i, name in enumerate(shape.bwd_syncs)}
+    shard_at = {producer: len(fsync_at) + len(bsync_at) + i
+                for i, producer in enumerate(offloads)}
+    waste0 = len(fsync_at) + len(bsync_at) + len(offloads)
+    waste_before = _waste_by_site(shape.waste)
+
+    ops = TopologyBuilder(tag_pool)
+    site_index = 0
+    fwd_ready: dict[str, int | None] = {}
+    fwd_sync_uid: dict[str, int] = {}
+    offload_uid: dict[str, int] = {}     # producer -> its offload op
+    offload_order: list[int] = []
+
+    # ---- Forward propagation -------------------------------------------
+    for name in layers:
+        if is_input[name]:
+            fwd_ready[name] = None
+            continue
+
+        preds = net.predecessors(name)
+        deps = [fwd_ready[p] for p in preds
+                if fwd_ready.get(p) is not None]
+        # Layer-boundary collectives are chunk-pipelined with the
+        # consumer's compute (NCCL-style): a layer may run one step
+        # ahead of communication, so it waits on its *grandparents'*
+        # all-gathers, not its parents'.
+        for p in preds:
+            for gp in net.predecessors(p):
+                if gp in fwd_sync_uid:
+                    deps.append(fwd_sync_uid[gp])
+        # vDNN pinned-buffer back-pressure: at most `offload_window`
+        # offloads may be outstanding before compute stalls.
+        if len(offload_order) >= window:
+            deps.append(offload_order[-window])
+        compute = ops.add(EngineKind.COMPUTE, fwd_at[name], deps,
+                          tag=f"fwd:{name}")
+        ready = compute
+        if name in fsync_at:
+            k = fsync_at[name]
+            ready = fwd_sync_uid[name] = ops.add(
+                EngineKind.COMM, shared + k, [compute],
+                tag=f"sync-fwd:{name}", byte_src=1 + k)
+        fwd_ready[name] = compute
+
+        # Offload every tensor whose last forward reuse is this layer;
+        # a gathered tensor only becomes complete after its collective.
+        for producer in prefetch_sites.get(name, ()):
+            k = shard_at[producer]
+            uid = ops.add(EngineKind.DMA_OUT, shared + k, [ready],
+                          tag=f"offload:{producer}", byte_src=1 + k)
+            offload_uid[producer] = uid
+            offload_order.append(uid)
+
+    # ---- Backward propagation ------------------------------------------
+    bwd_ready: dict[str, int] = {}
+    bwd_sync_uid: dict[str, int] = {}
+    bwd_computes: list[int] = []
+
+    def step_gate(gate_step: int | None) -> list[int]:
+        return [] if gate_step is None else [bwd_computes[gate_step]]
+
+    for name in shape.bwd_order:
+        succs = net.successors(name)
+        deps = [bwd_ready[s] for s in succs if s in bwd_ready]
+        # Pipelined gradient collectives: one step of run-ahead, so a
+        # layer's backward waits on its grand-successors' dX reductions.
+        if model_parallel:
+            for s in succs:
+                for gs in net.successors(s):
+                    if gs in bwd_sync_uid:
+                        deps.append(bwd_sync_uid[gs])
+        if not deps and fwd_ready.get(name) is not None:
+            # The loss-side frontier starts once forward has finished.
+            deps = [fwd_ready[name]]  # type: ignore[list-item]
+
+        # Prefetches feeding this backward step, gated per the active
+        # policy's issue plan (the legacy bounded lookahead under
+        # on-demand; earlier or later elsewhere on the axis).
+        prefetch_ids = []
+        for producer in prefetch_sites.get(name, ()):
+            for index, waste_gate, label in waste_before.get(site_index,
+                                                             ()):
+                k = waste0 + index
+                ops.add(EngineKind.DMA_IN, shared + k,
+                        step_gate(waste_gate), tag=f"waste:{label}",
+                        byte_src=1 + k)
+            gate = step_gate(shape.gates[site_index])
+            site_index += 1
+            k = shard_at[producer]
+            prefetch_ids.append(ops.add(
+                EngineKind.DMA_IN, shared + k,
+                gate + [offload_uid[producer]],
+                tag=f"prefetch:{producer}", byte_src=1 + k))
+
+        # Cheap tensors regenerated instead of migrated (footnote 4).
+        recompute_ids = [
+            ops.add(EngineKind.COMPUTE, fwd_at[producer],
+                    list(prefetch_ids), tag=f"recompute:{producer}")
+            for producer in recompute_sites.get(name, ())]
+
+        compute = ops.add(EngineKind.COMPUTE, bwd0 + fwd_at[name],
+                          deps + prefetch_ids + recompute_ids,
+                          tag=f"bwd:{name}")
+        bwd_computes.append(compute)
+        grad_done = compute
+        if name in wgrad_at:
+            grad_done = ops.add(EngineKind.COMPUTE, wgrad_at[name],
+                                [compute], tag=f"wgrad:{name}")
+
+        if name in bsync_at:
+            # dX reductions (model parallel) only need the activation
+            # grad; dW all-reduces wait for the weight grad.  Model-
+            # parallel dX reductions gate the grand-producers' backward
+            # pass (pipelined, above); data-parallel dW all-reduces only
+            # gate iteration end.
+            k = bsync_at[name]
+            bwd_sync_uid[name] = ops.add(
+                EngineKind.COMM, shared + k,
+                [compute if model_parallel else grad_done],
+                tag=f"sync-bwd:{name}", byte_src=1 + k)
+        bwd_ready[name] = compute
+
+    return ops.freeze(layers=layers, offloads=offloads)
 
 
 def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
@@ -399,151 +645,60 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
     all-reduces wait on) -- mirroring the zero-bubble pipeline B/W
     split at single-device granularity.  Off (the default) the op
     stream is byte-identical to the seed's.
+
+    The op graph comes from the process-wide topology memo (built by
+    the structural pass on a miss); this pricing pass only fills in the
+    cell's durations and byte counts.
     """
     if pricer is None:
         pricer = iteration_pricer(plan, config)
     if prefetch is None:
         prefetch = plan_training_prefetch(plan, config, pricer)
-    waste_before = prefetch.waste_before()
-    ops = OpTable()
-    collective = pricing.collective_pricer(config.collectives)
-    times = pricing.layer_times(plan.net, config.device, plan.batch,
-                                plan.strategy, config.n_devices)
     net = plan.net
     parts = plan.parts
-    site_index = 0
+    step = plan.step
+    wgrad = None
+    if split_wgrad:
+        op_time = config.device.op_time
+        wgrad = {name: op_time(parts[name].bwd_gemms[1::2], 0)
+                 for name in step.bwd_order if parts[name].bwd_gemms}
+    shape = TrainingShape(
+        strategy=plan.strategy,
+        offload_window=config.offload_window,
+        fwd_order=step.fwd_order,
+        bwd_order=step.bwd_order,
+        prefetch_sites=tuple(step.prefetch_sites.items()),
+        recompute_sites=tuple(step.recompute_sites.items()),
+        fwd_syncs=tuple(name for name, part in parts.items()
+                        if part.fwd_sync is not None
+                        and part.kind is not LayerKind.INPUT),
+        bwd_syncs=tuple(name for name in step.bwd_order
+                        if parts[name].bwd_sync is not None),
+        gates=tuple(issue.gate_step for issue in prefetch.issues),
+        waste=_waste_shape(prefetch),
+        wgrad=None if wgrad is None else tuple(
+            name for name, seconds in wgrad.items() if seconds > 0.0))
+    topology = pricing.cached_topology(
+        net, shape, lambda pool: _training_topology(net, shape, pool))
 
-    fwd_ready: dict[str, int | None] = {}
-    fwd_sync_uid: dict[str, int] = {}
-    offload_uid: dict[str, int] = {}     # producer -> its offload op
-    offload_order: list[int] = []
-
-    # ---- Forward propagation -------------------------------------------
-    for name in plan.step.fwd_order:
-        layer = net.layer(name)
-        part = parts[name]
-        if layer.kind is LayerKind.INPUT:
-            fwd_ready[name] = None
-            continue
-
-        preds = net.predecessors(name)
-        deps = [fwd_ready[p] for p in preds
-                if fwd_ready.get(p) is not None]
-        # Layer-boundary collectives are chunk-pipelined with the
-        # consumer's compute (NCCL-style): a layer may run one step
-        # ahead of communication, so it waits on its *grandparents'*
-        # all-gathers, not its parents'.
-        for p in preds:
-            for gp in net.predecessors(p):
-                if gp in fwd_sync_uid:
-                    deps.append(fwd_sync_uid[gp])
-        # vDNN pinned-buffer back-pressure: at most `offload_window`
-        # offloads may be outstanding before compute stalls.
-        if len(offload_order) >= config.offload_window:
-            deps.append(offload_order[-config.offload_window])
-        compute = ops.add(EngineKind.COMPUTE, times[name][0],
-                          deps, tag=f"fwd:{name}")
-        ready = compute
-        if part.fwd_sync is not None:
-            sync = ops.add(EngineKind.COMM,
-                           collective(part.fwd_sync.primitive,
-                                      part.fwd_sync.nbytes),
-                           [compute], tag=f"sync-fwd:{name}",
-                           nbytes=part.fwd_sync.nbytes)
-            fwd_sync_uid[name] = sync
-            ready = sync
-        fwd_ready[name] = compute if part.fwd_sync is not None else ready
-
-        # Offload every tensor whose last forward reuse is this layer;
-        # a gathered tensor only becomes complete after its collective.
-        for producer in plan.step.prefetch_sites.get(name, ()):
-            shard = plan.migrated_shards[producer]
-            uid = ops.add(EngineKind.DMA_OUT, pricer(shard),
-                          [ready], tag=f"offload:{producer}",
-                          nbytes=shard)
-            offload_uid[producer] = uid
-            offload_order.append(uid)
-
-    # ---- Backward propagation ------------------------------------------
-    bwd_ready: dict[str, int] = {}
-    bwd_sync_uid: dict[str, int] = {}
-    bwd_computes: list[int] = []
-    for step_index, name in enumerate(plan.step.bwd_order):
-        layer = net.layer(name)
-        part = parts[name]
-
-        succs = net.successors(name)
-        deps = [bwd_ready[s] for s in succs if s in bwd_ready]
-        # Pipelined gradient collectives: one step of run-ahead, so a
-        # layer's backward waits on its grand-successors' dX reductions.
-        if plan.strategy is ParallelStrategy.MODEL:
-            for s in succs:
-                for gs in net.successors(s):
-                    if gs in bwd_sync_uid:
-                        deps.append(bwd_sync_uid[gs])
-        if not deps and fwd_ready.get(name) is not None:
-            # The loss-side frontier starts once forward has finished.
-            deps = [fwd_ready[name]]  # type: ignore[list-item]
-
-        # Prefetches feeding this backward step, gated per the active
-        # policy's issue plan (the legacy bounded lookahead under
-        # on-demand; earlier or later elsewhere on the axis).
-        prefetch_ids = []
-        for producer in plan.step.prefetch_sites.get(name, ()):
-            issue = prefetch.issues[site_index]
-            for waste in waste_before.get(site_index, ()):
-                waste_gate = ([] if waste.gate_step is None
-                              else [bwd_computes[waste.gate_step]])
-                ops.add(EngineKind.DMA_IN, pricer(waste.nbytes),
-                        waste_gate, tag=f"waste:{waste.label}",
-                        nbytes=waste.nbytes)
-            site_index += 1
-            gate = ([] if issue.gate_step is None
-                    else [bwd_computes[issue.gate_step]])
-            shard = plan.migrated_shards[producer]
-            prefetch_ids.append(ops.add(
-                EngineKind.DMA_IN, pricer(shard),
-                gate + [offload_uid[producer]],
-                tag=f"prefetch:{producer}", nbytes=shard))
-
-        # Cheap tensors regenerated instead of migrated (footnote 4).
-        recompute_ids = []
-        for producer in plan.step.recompute_sites.get(name, ()):
-            recompute_ids.append(ops.add(
-                EngineKind.COMPUTE, times[producer][0],
-                list(prefetch_ids), tag=f"recompute:{producer}"))
-
-        bwd_seconds = times[name][1]
-        wgrad_seconds = 0.0
-        if split_wgrad and part.bwd_gemms:
-            wgrad_seconds = config.device.op_time(
-                part.bwd_gemms[1::2], 0)
-            bwd_seconds = max(0.0, bwd_seconds - wgrad_seconds)
-
-        compute = ops.add(EngineKind.COMPUTE, bwd_seconds,
-                          deps + prefetch_ids + recompute_ids,
-                          tag=f"bwd:{name}")
-        bwd_computes.append(compute)
-        grad_done = compute
-        if wgrad_seconds > 0.0:
-            grad_done = ops.add(EngineKind.COMPUTE, wgrad_seconds,
-                                [compute], tag=f"wgrad:{name}")
-
-        if part.bwd_sync is not None:
-            # dX reductions (model parallel) only need the activation
-            # grad; dW all-reduces wait for the weight grad.
-            sync_dep = (compute
-                        if plan.strategy is ParallelStrategy.MODEL
-                        else grad_done)
-            sync = ops.add(EngineKind.COMM,
-                           collective(part.bwd_sync.primitive,
-                                      part.bwd_sync.nbytes),
-                           [sync_dep], tag=f"sync-bwd:{name}",
-                           nbytes=part.bwd_sync.nbytes)
-            # Model-parallel dX reductions gate the grand-producers'
-            # backward pass (pipelined, above); data-parallel dW
-            # all-reduces only gate iteration end.
-            bwd_sync_uid[name] = sync
-        bwd_ready[name] = compute
-
-    return ops
+    layers = topology.segments["layers"]
+    times = pricing.layer_times(net, config.device, plan.batch,
+                                plan.strategy, config.n_devices)
+    pairs = [times[name] for name in layers]
+    bwd = [pair[1] for pair in pairs]
+    if wgrad:
+        bwd = [max(0.0, seconds - wgrad[name]) if name in wgrad
+               else seconds for name, seconds in zip(layers, bwd)]
+    collective = pricing.collective_pricer(config.collectives)
+    syncs = ([parts[name].fwd_sync for name in shape.fwd_syncs]
+             + [parts[name].bwd_sync for name in shape.bwd_syncs])
+    sizes = ([plan.migrated_shards[producer]
+              for producer in topology.segments["offloads"]]
+             + [waste.nbytes for waste in prefetch.waste])
+    seconds = [pair[0] for pair in pairs] + bwd
+    if shape.wgrad:
+        seconds += [wgrad[name] for name in shape.wgrad]
+    seconds += [collective(sync.primitive, sync.nbytes) for sync in syncs]
+    seconds += _price_many(pricer, sizes)
+    return topology.table(seconds,
+                          [0] + [sync.nbytes for sync in syncs] + sizes)

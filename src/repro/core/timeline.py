@@ -63,8 +63,8 @@ class Op:
     channel: int = 0
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"op {self.tag}: negative duration")
+        if not self.duration >= 0:
+            raise ValueError(f"op {self.tag}: negative or NaN duration")
         if self.nbytes < 0:
             raise ValueError(f"op {self.tag}: negative byte count")
         if self.channel < 0:
@@ -72,6 +72,8 @@ class Op:
         if any(d >= self.uid for d in self.deps):
             raise ValueError(
                 f"op {self.tag}: dependency on a later op (cycle)")
+        if any(d < 0 for d in self.deps):
+            raise ValueError(f"op {self.tag}: negative dependency uid")
 
 
 @dataclass(frozen=True)

@@ -427,13 +427,14 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
     starts = timeline.start
     finishes = timeline.finish
     prev_slot = timeline.prev_slot_finish
-    engines = table.engines
+    codes = table.codes
     deps = table.deps
     tags = table.tags
     nbytes = table.nbytes
     durations = table.durations
 
-    dma_in_idx = np.nonzero(engine == ENGINE_CODE[EngineKind.DMA_IN])[0]
+    dma_in = ENGINE_CODE[EngineKind.DMA_IN]
+    dma_in_idx = np.nonzero(engine == dma_in)[0]
     prefetch_bytes = sum(nbytes[i] for i in dma_in_idx)
     wasted = sum(nbytes[i] for i in dma_in_idx
                  if tags[i].startswith("waste:"))
@@ -441,17 +442,15 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
     late = jit = early = 0
     n_prefetches = 0
     stall = 0.0
-    compute = EngineKind.COMPUTE
-    dma_in = EngineKind.DMA_IN
-    for i in np.nonzero(engine == ENGINE_CODE[compute])[0]:
+    for i in np.nonzero(engine == ENGINE_CODE[EngineKind.COMPUTE])[0]:
         op_deps = deps[i]
         if not op_deps:
             continue
-        fetches = [d for d in op_deps if engines[d] is dma_in]
+        fetches = [d for d in op_deps if codes[d] == dma_in]
         if not fetches:
             continue
         other = max((finishes[d] for d in op_deps
-                     if engines[d] is not dma_in), default=0.0)
+                     if codes[d] != dma_in), default=0.0)
         prev = prev_slot[i]
         unblocked = prev if prev > other else other
         stall += max(0.0, starts[i] - unblocked)

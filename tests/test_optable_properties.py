@@ -18,6 +18,7 @@ scheduler kept here as the oracle:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -187,6 +188,38 @@ class TestContainerParity:
                     continue
                 raise AssertionError(  # pragma: no cover
                     f"accepted {kwargs}")
+
+    def test_validation_parity_nan_duration(self):
+        """NaN would otherwise reach the scheduler as a NaN makespan."""
+        for reject in (lambda: OpTable().add(EngineKind.COMPUTE,
+                                             float("nan"), [], "x"),
+                       lambda: Op(0, EngineKind.COMPUTE, float("nan"),
+                                  (), "x")):
+            with pytest.raises(ValueError, match="op x: .*NaN"):
+                reject()
+
+    def test_validation_parity_negative_dep(self):
+        """A negative uid would silently alias the last op (finish[-1])."""
+        table = OpTable()
+        table.add(EngineKind.COMPUTE, 1.0, [], "a")
+        for reject in (lambda: table.add(EngineKind.COMPUTE, 1.0, [-1],
+                                         "b"),
+                       lambda: Op(1, EngineKind.COMPUTE, 1.0, (-1,), "b")):
+            with pytest.raises(ValueError,
+                               match="op b: negative dependency uid"):
+                reject()
+        assert len(table) == 1
+
+    def test_engines_is_a_read_only_view_of_codes(self):
+        _, table = build(
+            [(EngineKind.COMPUTE, 1.0, [], 0, 0),
+             (EngineKind.DMA_IN, 0.5, [0], 0, 16)])
+        engines = table.engines
+        assert list(engines) == [EngineKind.COMPUTE, EngineKind.DMA_IN]
+        table.add(EngineKind.COMM, 0.1, [1], "late")
+        assert engines[-1] is EngineKind.COMM and len(engines) == 3
+        with pytest.raises(TypeError):
+            engines[0] = EngineKind.COMM  # type: ignore[index]
 
     def test_lazy_ops_materialization(self):
         _, table = build(
