@@ -4,7 +4,10 @@
 iteration of a benchmark on a design point and returns a
 :class:`~repro.core.metrics.SimulationResult` carrying the iteration
 time, the Figure 11 latency breakdown, and the traffic accounting that
-feeds Figure 12.
+feeds Figure 12.  Every mode -- training, inference, pipeline, and
+the fault-degraded leg of each -- goes through one driver that plans,
+prices, emits and schedules the iteration once; ``iteration_timeline``
+returns the timeline that same run scheduled.
 """
 
 from __future__ import annotations
@@ -29,12 +32,6 @@ from repro.training.parallel import ParallelStrategy
 from repro.vmem.prefetch import collect_prefetch_stats
 
 DEFAULT_BATCH = 512
-
-
-def _resolve(network: Network | str) -> Network:
-    if isinstance(network, str):
-        return build_network(network)
-    return network
 
 
 def simulate(config: SystemConfig, network: Network | str,
@@ -66,197 +63,141 @@ def simulate(config: SystemConfig, network: Network | str,
         per iteration.  Results are deterministic
         (``tests/golden/core_results.json`` pins them).
     """
-    net = _resolve(network)
-    fault = active_fault_model(config)
-    if fault is not None:
-        return _simulate_faulted(fault, config, net, batch, strategy,
-                                 mode)
-    if mode is ExecutionMode.INFERENCE:
-        return _simulate_inference(config, net, batch, strategy)
-    if mode is not ExecutionMode.TRAINING:
-        raise ValueError(f"simulate() cannot run mode {mode}; serving "
-                         f"runs through repro.serving")
-    if strategy is ParallelStrategy.PIPELINE:
-        return _simulate_pipeline(config, net, batch)
-    with span("plan", mode="training"):
-        plan = plan_iteration(net, config, batch, strategy)
-    with span("price", mode="training"):
-        pricer = iteration_pricer(plan, config)
-        psched = plan_training_prefetch(plan, config, pricer)
-    with span("emit", mode="training"):
-        ops = build_iteration_ops(plan, config, prefetch=psched,
-                                  pricer=pricer)
-    with span("schedule", mode="training"):
-        timeline = schedule_ops(ops)
-
-    breakdown = LatencyBreakdown(
-        compute=timeline.busy_time(EngineKind.COMPUTE),
-        sync=timeline.busy_time(EngineKind.COMM),
-        vmem=(timeline.busy_time(EngineKind.DMA_OUT)
-              + timeline.busy_time(EngineKind.DMA_IN)))
-
-    host_traffic = (plan.round_trip_bytes_per_device
-                    if config.uses_host_memory else 0)
-    # Weak scaling: every worker trains a full `batch` (data-parallel)
-    # or materializes full gathered feature maps (model-parallel), so
-    # the per-device footprint is the full-batch footprint either way.
-    footprint = net.training_footprint_bytes(batch)
-
-    return SimulationResult(
-        system=config.name,
-        network=net.name,
-        batch=batch,
-        strategy=strategy,
-        n_devices=config.n_devices,
-        iteration_time=timeline.makespan,
-        breakdown=breakdown,
-        offload_bytes_per_device=plan.offload_bytes_per_device,
-        sync_bytes=plan.sync_bytes_per_iteration,
-        host_traffic_bytes_per_device=host_traffic,
-        fits_in_device_memory=footprint <= config.device.memory_capacity,
-        prefetch=collect_prefetch_stats(timeline, psched.policy,
-                                        evictions=psched.evictions),
-    )
-
-
-def _simulate_faulted(fault, config: SystemConfig, net: Network,
-                      batch: int, strategy: ParallelStrategy,
-                      mode: ExecutionMode) -> SimulationResult:
-    """Iteration-level fault path: re-price under degradation, fold
-    against the healthy twin.
-
-    Both legs are plain :func:`simulate` calls on ``fault_model="none"``
-    configs, so the degraded numbers come out of the same byte-stable
-    pipeline as any user-built design -- faults only move inputs.
-    """
-    import dataclasses
-
-    with span("faults", model=fault.name, mode=mode.value):
-        degraded = simulate(degraded_config(config), net, batch,
-                            strategy, mode)
-        healthy = simulate(healthy_config(config), net, batch,
-                           strategy, mode)
-    stats = iteration_fault_stats(
-        fault, faulted_time=degraded.iteration_time,
-        healthy_time=healthy.iteration_time)
-    record_fault_stats(stats, mode.value)
-    return dataclasses.replace(degraded, system=config.name,
-                               faults=stats)
-
-
-def _simulate_inference(config: SystemConfig, net: Network, batch: int,
-                        strategy: ParallelStrategy) -> SimulationResult:
-    """Forward-only batch with multi-tenant weight streaming.
-
-    ``iteration_time`` is the end-to-end latency of serving one request
-    batch on one device replica (data-parallel) or across the node
-    (model-parallel).  ``offload_bytes_per_device`` reports the
-    *one-way* weight bytes fetched from the backing store -- inference
-    pushes nothing back.
-    """
-    with span("plan", mode="inference"):
-        plan = plan_inference(net, config, batch, strategy)
-    with span("price", mode="inference"):
-        pricer = inference_pricer(plan, config)
-        psched = plan_inference_prefetch(plan, config, pricer)
-    with span("emit", mode="inference"):
-        ops = build_inference_ops(plan, config, prefetch=psched,
-                                  pricer=pricer)
-    with span("schedule", mode="inference"):
-        timeline = schedule_ops(ops)
-
-    breakdown = LatencyBreakdown(
-        compute=timeline.busy_time(EngineKind.COMPUTE),
-        sync=timeline.busy_time(EngineKind.COMM),
-        vmem=(timeline.busy_time(EngineKind.DMA_OUT)
-              + timeline.busy_time(EngineKind.DMA_IN)))
-
-    streamed = plan.weight_stream_bytes_per_device
-    host_traffic = streamed if config.uses_host_memory else 0
-    footprint = net.inference_footprint_bytes(batch)
-
-    return SimulationResult(
-        system=config.name,
-        network=net.name,
-        batch=batch,
-        strategy=strategy,
-        n_devices=config.n_devices,
-        iteration_time=timeline.makespan,
-        breakdown=breakdown,
-        offload_bytes_per_device=streamed,
-        sync_bytes=plan.sync_bytes_per_iteration,
-        host_traffic_bytes_per_device=host_traffic,
-        fits_in_device_memory=footprint <= config.device.memory_capacity,
-        mode=ExecutionMode.INFERENCE,
-        prefetch=collect_prefetch_stats(timeline, psched.policy,
-                                        evictions=psched.evictions),
-    )
-
-
-def _simulate_pipeline(config: SystemConfig, net: Network,
-                       batch: int) -> SimulationResult:
-    """Pipeline-parallel path: stages are asymmetric, so the timeline
-    spans every stage on its own engine channel."""
-    # Imported lazily: repro.pipeline depends on repro.core.
-    from repro.pipeline.lowering import (build_pipeline_ops,
-                                         pipeline_pricer,
-                                         pipeline_stats, plan_pipeline,
-                                         plan_pipeline_prefetch)
-
-    with span("plan", mode="pipeline"):
-        plan = plan_pipeline(net, config, batch)
-    with span("price", mode="pipeline"):
-        pricer = pipeline_pricer(plan, config)
-        psched = plan_pipeline_prefetch(plan, config, pricer)
-    with span("emit", mode="pipeline"):
-        ops = build_pipeline_ops(plan, config, prefetch=psched,
-                                 pricer=pricer)
-    with span("schedule", mode="pipeline"):
-        timeline = schedule_ops(ops)
-    stats = pipeline_stats(plan, timeline)
-
-    breakdown = LatencyBreakdown(
-        compute=timeline.busy_time(EngineKind.COMPUTE),
-        sync=timeline.busy_time(EngineKind.COMM),
-        vmem=(timeline.busy_time(EngineKind.DMA_OUT)
-              + timeline.busy_time(EngineKind.DMA_IN)))
-
-    offload = plan.offload_bytes_per_device
-    host_traffic = 2 * offload if config.uses_host_memory else 0
-
-    return SimulationResult(
-        system=config.name,
-        network=net.name,
-        batch=batch,
-        strategy=ParallelStrategy.PIPELINE,
-        n_devices=config.n_devices,
-        iteration_time=timeline.makespan,
-        breakdown=breakdown,
-        offload_bytes_per_device=offload,
-        sync_bytes=plan.sync_bytes_per_iteration,
-        host_traffic_bytes_per_device=host_traffic,
-        fits_in_device_memory=(plan.max_stage_footprint_bytes
-                               <= config.device.memory_capacity),
-        pipeline=stats,
-        prefetch=collect_prefetch_stats(
-            timeline, config.prefetch_policy,
-            evictions=sum(s.evictions for s in psched)),
-    )
+    return _lower(config, network, batch, strategy, mode)[0]
 
 
 def iteration_timeline(config: SystemConfig, network: Network | str,
                        batch: int = DEFAULT_BATCH,
                        strategy: ParallelStrategy =
                        ParallelStrategy.DATA) -> ColumnarTimeline:
-    """The scheduled engine timeline of one iteration (trace export)."""
-    net = _resolve(network)
-    if strategy is ParallelStrategy.PIPELINE:
-        from repro.pipeline.lowering import (build_pipeline_ops,
-                                             plan_pipeline)
-        plan = plan_pipeline(net, config, batch)
-        return schedule_ops(build_pipeline_ops(plan, config))
-    plan = plan_iteration(net, config, batch, strategy)
-    return schedule_ops(build_iteration_ops(plan, config))
+    """The engine timeline :func:`simulate` measures for the same
+    arguments, fault degradation included (trace export)."""
+    return _lower(config, network, batch, strategy,
+                  ExecutionMode.TRAINING)[1]
+
+
+def _lower(config: SystemConfig, network: Network | str, batch: int,
+           strategy: ParallelStrategy, mode: ExecutionMode) \
+        -> tuple[SimulationResult, ColumnarTimeline]:
+    """Plan, price, emit and schedule one iteration, in any mode.
+
+    Only the four phase functions and the plan-specific result fields
+    differ between modes.  Phases are looked up when called (this
+    module's globals, ``repro.pipeline.lowering``'s attributes), so a
+    wrapper installed on either attribute is the one that runs.
+    """
+    net = (build_network(network) if isinstance(network, str)
+           else network)
+    fault = active_fault_model(config)
+    if fault is not None:
+        return _simulate_faulted(fault, config, net, batch, strategy,
+                                 mode)
+    plan_args = (net, config, batch, strategy)
+    if mode is ExecutionMode.INFERENCE:
+        label = "inference"
+        phases = (plan_inference, inference_pricer,
+                  plan_inference_prefetch, build_inference_ops)
+    elif mode is not ExecutionMode.TRAINING:
+        raise ValueError(f"simulate() cannot run mode {mode}; serving "
+                         f"runs through repro.serving")
+    elif strategy is ParallelStrategy.PIPELINE:
+        # Imported lazily: repro.pipeline depends on repro.core.
+        from repro.pipeline import lowering
+        label = "pipeline"
+        plan_args = (net, config, batch)
+        phases = (lowering.plan_pipeline, lowering.pipeline_pricer,
+                  lowering.plan_pipeline_prefetch,
+                  lowering.build_pipeline_ops)
+    else:
+        label = "training"
+        phases = (plan_iteration, iteration_pricer,
+                  plan_training_prefetch, build_iteration_ops)
+    plan_fn, pricer_fn, prefetch_fn, emit_fn = phases
+    with span("plan", mode=label):
+        plan = plan_fn(*plan_args)
+    with span("price", mode=label):
+        pricer = pricer_fn(plan, config)
+        psched = prefetch_fn(plan, config, pricer)
+    with span("emit", mode=label):
+        ops = emit_fn(plan, config, prefetch=psched, pricer=pricer)
+    with span("schedule", mode=label):
+        timeline = schedule_ops(ops)
+
+    stats = None
+    if label == "inference":
+        # Inference streams weights in and pushes nothing back.
+        offload = plan.weight_stream_bytes_per_device
+        host_traffic = offload
+        footprint = net.inference_footprint_bytes(batch)
+        evictions = psched.evictions
+    elif label == "pipeline":
+        stats = lowering.pipeline_stats(plan, timeline)
+        offload = plan.offload_bytes_per_device
+        host_traffic = 2 * offload
+        footprint = plan.max_stage_footprint_bytes
+        evictions = sum(s.evictions for s in psched)
+    else:
+        offload = plan.offload_bytes_per_device
+        host_traffic = plan.round_trip_bytes_per_device
+        # Weak scaling: every worker trains a full `batch`
+        # (data-parallel) or materializes full gathered feature maps
+        # (model-parallel), so the per-device footprint is the
+        # full-batch footprint either way.
+        footprint = net.training_footprint_bytes(batch)
+        evictions = psched.evictions
+
+    breakdown = LatencyBreakdown(
+        compute=timeline.busy_time(EngineKind.COMPUTE),
+        sync=timeline.busy_time(EngineKind.COMM),
+        vmem=(timeline.busy_time(EngineKind.DMA_OUT)
+              + timeline.busy_time(EngineKind.DMA_IN)))
+    result = SimulationResult(
+        system=config.name,
+        network=net.name,
+        batch=batch,
+        strategy=strategy,
+        n_devices=config.n_devices,
+        iteration_time=timeline.makespan,
+        breakdown=breakdown,
+        offload_bytes_per_device=offload,
+        sync_bytes=plan.sync_bytes_per_iteration,
+        host_traffic_bytes_per_device=(host_traffic
+                                       if config.uses_host_memory
+                                       else 0),
+        fits_in_device_memory=footprint <= config.device.memory_capacity,
+        pipeline=stats,
+        mode=mode,
+        prefetch=collect_prefetch_stats(timeline, config.prefetch_policy,
+                                        evictions=evictions),
+    )
+    return result, timeline
+
+
+def _simulate_faulted(fault, config: SystemConfig, net: Network,
+                      batch: int, strategy: ParallelStrategy,
+                      mode: ExecutionMode) \
+        -> tuple[SimulationResult, ColumnarTimeline]:
+    """Iteration-level fault path: re-price under degradation, fold
+    against the healthy twin.
+
+    Both legs are plain lowerings of ``fault_model="none"`` configs, so
+    the degraded numbers come out of the same byte-stable pipeline as
+    any user-built design -- faults only move inputs.  The timeline is
+    the degraded leg's: the one whose makespan is reported.
+    """
+    import dataclasses
+
+    with span("faults", model=fault.name, mode=mode.value):
+        degraded, timeline = _lower(degraded_config(config), net, batch,
+                                    strategy, mode)
+        healthy, _ = _lower(healthy_config(config), net, batch,
+                            strategy, mode)
+    stats = iteration_fault_stats(
+        fault, faulted_time=degraded.iteration_time,
+        healthy_time=healthy.iteration_time)
+    record_fault_stats(stats, mode.value)
+    return (dataclasses.replace(degraded, system=config.name,
+                                faults=stats), timeline)
 
 
 def host_bandwidth_usage(config: SystemConfig,

@@ -24,7 +24,7 @@ from repro.cluster.oracle import CostOracle
 from repro.cluster.simulator import ClusterSimulator, simulate_cluster
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import FaultStats, SimulationResult
-from repro.core.simulator import simulate
+from repro.core.simulator import iteration_timeline, simulate
 from repro.core.trace import cluster_chrome_trace
 from repro.experiments.faults_comparison import (
     MODES, comparison_points, format_fault_comparison,
@@ -188,6 +188,15 @@ class TestTrainingFaults:
             assert result.breakdown.compute == pytest.approx(
                 healthy.breakdown.compute)
             assert result.iteration_time >= healthy.iteration_time
+
+    @pytest.mark.parametrize("model", FAULT_MODEL_ORDER)
+    def test_trace_timeline_is_the_measured_one(self, model):
+        """``iteration_timeline`` exports the degraded leg that
+        ``simulate()`` reports, not the healthy twin."""
+        config = faulted("MC-DLA(B)", model)
+        timeline = iteration_timeline(config, "VGG-E", 512)
+        assert timeline.makespan \
+            == simulate(config, "VGG-E", 512).iteration_time
 
     def test_fault_stats_round_trip(self):
         result = simulate(faulted("MC-DLA(B)", "storm"), "AlexNet", 256)

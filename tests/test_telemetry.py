@@ -634,6 +634,24 @@ class TestMergedTrace:
                 if e.get("pid") == HOST_PID and e["ph"] == "X"}
         assert {"plan", "price", "emit", "schedule"} <= host
 
+    def test_trace_cli_telemetry_lowers_the_cell_once(
+            self, tmp_path, monkeypatch, capsys):
+        """The host rows and the engine rows come from one run."""
+        from repro.__main__ import main
+        from repro.core import simulator
+        calls = []
+        plan_iteration = simulator.plan_iteration
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return plan_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "plan_iteration", counting)
+        assert main(["trace", "MC-DLA(B)", "AlexNet", "--telemetry",
+                     "-o", str(tmp_path / "once.trace.json")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_plain_trace_has_no_host_rows(self, tmp_path, capsys):
         from repro.__main__ import main
         out = tmp_path / "plain.trace.json"

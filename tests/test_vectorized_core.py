@@ -12,6 +12,11 @@ tolerance: the result's JSON must be byte-identical to the committed
 one, and the committed dict must decode through
 ``SimulationResult.from_dict`` to a result equal to the fresh one.
 ``pytest --update-golden`` rewrites the snapshot.
+
+Every training, inference and pipeline cell is also re-lowered and its
+golden ``iteration_time`` and ``prefetch`` stats recomputed from the
+timeline alone, which pins ``iteration_timeline()`` (the trace export)
+to the run ``simulate()`` measured.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from repro.cluster.simulator import simulate_cluster
 from repro.core import pricing
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import ExecutionMode, SimulationResult
-from repro.core.simulator import simulate
+from repro.core.simulator import _lower, simulate
 from repro.dnn.registry import BENCHMARK_NAMES
 from repro.serving.server import simulate_serving
 from repro.training.parallel import ParallelStrategy
+from repro.vmem.prefetch import collect_prefetch_stats
 
 GOLDEN_NAME = "core_results"
 GOLDEN_PATH = Path(__file__).parent / "golden" / f"{GOLDEN_NAME}.json"
@@ -40,30 +46,33 @@ TRAINING_STRATEGIES = (ParallelStrategy.DATA, ParallelStrategy.MODEL)
 
 
 def _training(design: str, network: str,
-              strategy: ParallelStrategy) -> SimulationResult:
-    return simulate(design_point(design), network, 512, strategy)
+              strategy: ParallelStrategy) -> tuple:
+    return (design_point(design), network, 512, strategy,
+            ExecutionMode.TRAINING)
 
 
-def _inference(design: str) -> SimulationResult:
-    return simulate(design_point(design), "ResNet", 64,
-                    ParallelStrategy.DATA, ExecutionMode.INFERENCE)
+def _inference(design: str) -> tuple:
+    return (design_point(design), "ResNet", 64, ParallelStrategy.DATA,
+            ExecutionMode.INFERENCE)
 
 
-def _pipeline(design: str, network: str, schedule: str) \
-        -> SimulationResult:
+def _pipeline(design: str, network: str, schedule: str) -> tuple:
     config = dataclasses.replace(design_point(design), pipeline_stages=4,
                                  pipeline_schedule=schedule)
-    return simulate(config, network, 256, ParallelStrategy.PIPELINE)
+    return (config, network, 256, ParallelStrategy.PIPELINE,
+            ExecutionMode.TRAINING)
 
 
-def _prefetch(policy: str) -> SimulationResult:
+def _prefetch(policy: str) -> tuple:
     config = dataclasses.replace(design_point("MC-DLA(L)"),
                                  prefetch_policy=policy)
-    return simulate(config, "GoogLeNet", 128, ParallelStrategy.DATA)
+    return (config, "GoogLeNet", 128, ParallelStrategy.DATA,
+            ExecutionMode.TRAINING)
 
 
-#: Snapshot key -> thunk producing that cell's result.
-CELLS: dict[str, Callable[[], SimulationResult]] = {
+#: Snapshot key -> thunk producing the ``simulate()`` arguments of
+#: every cell that is one lowered iteration.
+LOWERED: dict[str, Callable[[], tuple]] = {
     **{f"{design}/{network}/{strategy.value}":
        functools.partial(_training, design, network, strategy)
        for design in DESIGN_ORDER for network in BENCHMARK_NAMES
@@ -74,14 +83,25 @@ CELLS: dict[str, Callable[[], SimulationResult]] = {
         functools.partial(_pipeline, "MC-DLA(B)", "VGG-E", "1f1b"),
     "pipeline/gpipe/HC-DLA/BERT-Large":
         functools.partial(_pipeline, "HC-DLA", "BERT-Large", "gpipe"),
+    **{f"prefetch/{policy}/MC-DLA(L)/GoogLeNet":
+       functools.partial(_prefetch, policy)
+       for policy in PREFETCH_POLICIES},
+}
+
+
+def _simulated(lowered: Callable[[], tuple]) -> SimulationResult:
+    return simulate(*lowered())
+
+
+#: Snapshot key -> thunk producing that cell's result.
+CELLS: dict[str, Callable[[], SimulationResult]] = {
+    **{key: functools.partial(_simulated, args)
+       for key, args in LOWERED.items()},
     "serving/MC-DLA(B)/ResNet": lambda: simulate_serving(
         design_point("MC-DLA(B)"), "ResNet", rate=200.0, n_requests=64,
         seed=7, max_batch=16),
     "cluster/MC-DLA(B)/fifo": lambda: simulate_cluster(
         design_point("MC-DLA(B)"), policy="fifo", n_jobs=8, seed=7),
-    **{f"prefetch/{policy}/MC-DLA(L)/GoogLeNet":
-       functools.partial(_prefetch, policy)
-       for policy in PREFETCH_POLICIES},
 }
 
 
@@ -143,6 +163,25 @@ class TestSubsystems:
     @pytest.mark.parametrize("policy", PREFETCH_POLICIES)
     def test_prefetch_policies(self, check, policy):
         check(f"prefetch/{policy}/MC-DLA(L)/GoogLeNet")
+
+
+class TestTimelineEquivalence:
+    """The timeline the lowering driver returns is the one its result
+    measured: the golden ``iteration_time`` and ``prefetch`` stats are
+    recomputed from it alone."""
+
+    @pytest.mark.parametrize("key", sorted(LOWERED))
+    def test_timeline_reproduces_golden(self, golden, key):
+        if golden.update:
+            return
+        expected = snapshot()[key]
+        _, timeline = _lower(*LOWERED[key]())
+        assert timeline.makespan == expected["iteration_time"]
+        prefetch = expected["prefetch"]
+        stats = collect_prefetch_stats(timeline, prefetch["policy"],
+                                       evictions=prefetch["evictions"])
+        assert (json.dumps(stats.to_dict(), sort_keys=True)
+                == json.dumps(prefetch, sort_keys=True))
 
 
 class TestSnapshot:
