@@ -7,6 +7,10 @@ This module keeps the *data* in parallel columns instead:
 
 * :class:`OpTable` -- the append-only struct-of-arrays op container
   every emitter fills;
+* :class:`ConsumerIndex` -- the structural facts the scheduler and the
+  prefetch-stats collector read (slot predecessors, stall candidates,
+  per-channel DMA/collective groups), built once per
+  :class:`OpTopology` and shared by every cell priced from it;
 * :func:`schedule_ops` -- the deterministic list scheduler, run as a
   tight loop over the columns (the recurrence is a sequential
   dependency chain, so a numpy level-sweep would lose: the evaluated
@@ -15,10 +19,7 @@ This module keeps the *data* in parallel columns instead:
   ``busy``, ``busy_per_channel``, ``busy_time``, ``finish_of``,
   ``ops_on``, ``channels``, and a lazily materialized ``scheduled``
   tuple of :class:`~repro.core.timeline.ScheduledOp` views for trace
-  export), plus :meth:`ColumnarTimeline.as_arrays` exposing the columns
-  as numpy arrays for vectorized consumers
-  (:func:`repro.vmem.prefetch.collect_prefetch_stats` prices its
-  DMA/collective overlap on them).
+  export).
 
 Every float produced here -- start and finish times, busy sums, the
 makespan -- is accumulated in uid order, so results are
@@ -28,7 +29,8 @@ byte-deterministic; ``tests/golden/core_results.json`` pins them.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -95,25 +97,25 @@ class _EngineView(Sequence):
 class OpTable:
     """Struct-of-arrays op container.
 
-    Columns are plain Python lists while the table is being built
-    (appends are the hot path); :meth:`ColumnarTimeline.as_arrays`
-    freezes them to numpy arrays after scheduling.  Validation matches
-    :class:`~repro.core.timeline.Op` exactly.
+    Columns are plain Python lists (appends are the hot path).
+    Validation matches :class:`~repro.core.timeline.Op` exactly.
     """
 
     __slots__ = ("codes", "durations", "deps", "tags", "nbytes",
-                 "channels", "_ops")
+                 "channels", "topology", "_ops")
 
     def __init__(self) -> None:
-        #: :data:`ENGINE_CODE` ints -- the scheduler keys its slot dicts
-        #: on these (int hashing beats enum hashing by an order of
-        #: magnitude over a campaign's worth of ops).
+        #: :data:`ENGINE_CODE` ints, one per op.
         self.codes: list[int] = []
         self.durations: list[float] = []
         self.deps: list[tuple[int, ...]] = []
         self.tags: list[str] = []
         self.nbytes: list[int] = []
         self.channels: list[int] = []
+        #: The topology this table was priced from (its
+        #: :class:`ConsumerIndex` is then shared), or None for a table
+        #: built op by op.
+        self.topology: OpTopology | None = None
         self._ops: list[Op] | None = None
 
     @property
@@ -144,11 +146,20 @@ class OpTable:
         self.tags.append(tag)
         self.nbytes.append(nbytes)
         self.channels.append(channel)
+        self.topology = None
         self._ops = None
         return uid
 
     def __len__(self) -> int:
         return len(self.durations)
+
+    def consumer_index(self) -> ConsumerIndex:
+        """The table's :class:`ConsumerIndex`: its topology's cached one,
+        or, for a table built op by op, one built from the columns."""
+        if self.topology is not None:
+            return self.topology.index
+        return build_consumer_index(self.codes, self.deps, self.tags,
+                                    self.channels)
 
     @property
     def ops(self) -> list[Op]:
@@ -164,6 +175,135 @@ class OpTable:
         return self._ops
 
 
+def _frozen(array: np.ndarray, dtype=np.int32) -> np.ndarray:
+    array = np.asarray(array, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class ConsumerIndex:
+    """The structural facts the scheduler and the prefetch-stats
+    collector read from an op graph.
+
+    All of it follows from engine codes, dependencies, tags and
+    channels -- never from prices -- so a topology builds it once and
+    every cell priced from that topology shares it.
+
+    Slots are FIFO in uid order: an op's (engine, channel) slot frees
+    when its slot predecessor finishes, so the scheduler's recurrence
+    is ``start[i] = max(finish[slot_pred[i]], finish[deps of i])``
+    with ``finish[-1]`` read as 0.0.  Arrays are read-only int32 (bool
+    for ``waste``).
+    """
+
+    #: Per op, its dependency uids (what ``OpTable.deps`` holds).
+    deps: tuple[tuple[int, ...], ...]
+    #: Per op, the uid of the previous op on its (engine, channel)
+    #: slot; -1 for a slot's first op.
+    slot_pred: np.ndarray
+    #: Per op, its slot's position in ``slots``.
+    slot_of: np.ndarray
+    #: (engine code, channel) of every slot: engines in code order,
+    #: each engine's channels in first-appearance order.
+    slots: tuple[tuple[int, int], ...]
+    #: Uids of the DMA-in ops, and which of them ride a ``waste:`` tag.
+    dma_in: np.ndarray
+    waste: np.ndarray
+    #: Stall candidates: compute ops with at least one DMA-in
+    #: dependency, ascending.
+    stall: np.ndarray
+    #: Their DMA-in dependencies, candidate by candidate in dependency
+    #: order (``fetch_flat``), and each entry's candidate position
+    #: (``fetch_owner``).
+    fetch_flat: np.ndarray
+    fetch_owner: np.ndarray
+    #: CSR of what else each candidate waits for: candidate *k* reads
+    #: ``wait_flat[wait_ptr[k]:wait_ptr[k + 1]]`` -- its slot
+    #: predecessor first (so no segment is empty), then its non-DMA-in
+    #: dependencies.
+    wait_ptr: np.ndarray
+    wait_flat: np.ndarray
+    #: Per channel carrying both migration DMAs and collectives,
+    #: ascending by channel: (DMA-in and DMA-out uids, COMM uids).
+    channel_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def build_consumer_index(codes: Sequence[int], deps: Sequence[tuple],
+                         tags: Sequence[str],
+                         channels: Sequence[int]) -> ConsumerIndex:
+    """Derive the :class:`ConsumerIndex` of an op graph's columns."""
+    n = len(deps)
+    code = np.fromiter(codes, dtype=np.int64, count=n)
+    channel = np.asarray(channels, dtype=np.int64)
+    lens = np.fromiter(map(len, deps), dtype=np.int64, count=n)
+    flat = np.fromiter(chain.from_iterable(deps), dtype=np.int64,
+                       count=int(lens.sum()))
+    owner = np.repeat(np.arange(n), lens)
+
+    # Slot predecessors: a stable sort groups each slot's ops in uid
+    # order, so each op's predecessor is its neighbour in the sort.
+    key = code * (int(channel.max(initial=0)) + 1) + channel
+    order = np.argsort(key, kind="stable")
+    same = key[order[1:]] == key[order[:-1]]
+    slot_pred = np.full(n, -1, dtype=np.int64)
+    slot_pred[order[1:][same]] = order[:-1][same]
+    _, first, inverse = np.unique(key, return_index=True,
+                                  return_inverse=True)
+    slot_code = code[first]
+    ranked = np.lexsort((first, slot_code))
+    rank = np.empty(len(ranked), dtype=np.int64)
+    rank[ranked] = np.arange(len(ranked))
+    slots = tuple((int(slot_code[j]), int(channel[first[j]]))
+                  for j in ranked)
+
+    dma_in_code = ENGINE_CODE[EngineKind.DMA_IN]
+    dma_in = np.nonzero(code == dma_in_code)[0]
+    fetch_edge = code[flat] == dma_in_code
+    has_fetch = np.zeros(n, dtype=bool)
+    has_fetch[owner[fetch_edge]] = True
+    stall = np.nonzero(has_fetch
+                       & (code == ENGINE_CODE[EngineKind.COMPUTE]))[0]
+    position = np.full(n, -1, dtype=np.int64)
+    position[stall] = np.arange(len(stall))
+    waiting = position[owner] >= 0
+    fetch_mask = waiting & fetch_edge
+    other_mask = waiting & ~fetch_edge
+    n_other = np.bincount(position[owner[other_mask]],
+                          minlength=len(stall))
+    wait_ptr = np.concatenate(([0], np.cumsum(1 + n_other)))
+    wait_flat = np.empty(int(wait_ptr[-1]), dtype=np.int64)
+    heads = wait_ptr[:-1]
+    wait_flat[heads] = slot_pred[stall]
+    body = np.ones(len(wait_flat), dtype=bool)
+    body[heads] = False
+    wait_flat[body] = flat[other_mask]
+
+    dma = (code == dma_in_code) | (code == ENGINE_CODE[EngineKind.DMA_OUT])
+    comm = code == ENGINE_CODE[EngineKind.COMM]
+    groups = []
+    for ch in sorted(set(channel[dma].tolist())):
+        on = channel == ch
+        theirs = np.nonzero(comm & on)[0]
+        if len(theirs):
+            groups.append((_frozen(np.nonzero(dma & on)[0]),
+                           _frozen(theirs)))
+    return ConsumerIndex(
+        deps=tuple(deps),
+        slot_pred=_frozen(slot_pred),
+        slot_of=_frozen(rank[inverse]),
+        slots=slots,
+        dma_in=_frozen(dma_in),
+        waste=_frozen([tags[i].startswith("waste:") for i in dma_in],
+                      dtype=bool),
+        stall=_frozen(stall),
+        fetch_flat=_frozen(flat[fetch_mask]),
+        fetch_owner=_frozen(position[owner[fetch_mask]]),
+        wait_ptr=_frozen(wait_ptr),
+        wait_flat=_frozen(wait_flat),
+        channel_groups=tuple(groups))
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class OpTopology:
     """An op graph without its prices: what the emitters memoise.
@@ -177,6 +317,8 @@ class OpTopology:
     Storage is compact because topologies live for the whole process:
     one byte per engine code, CSR int32 dependencies (op *i* depends on
     ``dep_flat[dep_ptr[i]:dep_ptr[i + 1]]``), int32 source indices.
+    The :class:`ConsumerIndex` is built on first use and lives as long
+    as the topology (so clearing the topology memo drops it too).
     """
 
     codes: bytes
@@ -188,9 +330,23 @@ class OpTopology:
     #: Emitter-specific name tuples the pricing pass turns into the
     #: duration and byte vectors (see :mod:`repro.core.schedule`).
     segments: dict[str, tuple]
+    _index: ConsumerIndex | None = field(default=None, init=False,
+                                         repr=False)
 
     def __len__(self) -> int:
         return len(self.codes)
+
+    @property
+    def index(self) -> ConsumerIndex:
+        """The graph's :class:`ConsumerIndex` (built once, then cached)."""
+        if self._index is None:
+            flat = self.dep_flat.tolist()
+            ptr = self.dep_ptr.tolist()
+            deps = [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
+            object.__setattr__(self, "_index", build_consumer_index(
+                self.codes, deps, self.tags,
+                np.zeros(len(deps), dtype=np.int64)))
+        return self._index
 
     def table(self, seconds: list[float], nbytes: list[int]) -> OpTable:
         """Gather one cell's prices into an ordinary :class:`OpTable`.
@@ -208,15 +364,14 @@ class OpTopology:
         if not (sizes >= 0).all():
             bad = int(np.argmin(sizes >= 0))
             raise ValueError(f"op {self.tags[bad]}: negative byte count")
-        flat = self.dep_flat.tolist()
-        ptr = self.dep_ptr.tolist()
         table = OpTable()
         table.codes = list(self.codes)
         table.durations = durations.tolist()
-        table.deps = [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
+        table.deps = list(self.index.deps)
         table.tags = list(self.tags)
         table.nbytes = sizes.tolist()
         table.channels = [0] * len(self.codes)
+        table.topology = self
         return table
 
 
@@ -278,32 +433,35 @@ class ColumnarTimeline:
     ``busy_per_channel`` keeps the per-stage split pipeline metrics
     need.  ``scheduled`` materializes per-op objects lazily, so
     consumers that never iterate ops (the ``simulate()`` fast path)
-    never pay for them; :meth:`as_arrays` serves vectorized consumers
-    instead.
+    never pay for them.
     """
 
-    __slots__ = ("table", "start", "finish", "prev_slot_finish",
-                 "makespan", "busy", "busy_per_channel", "_scheduled",
-                 "_arrays")
+    __slots__ = ("table", "index", "start", "finish", "makespan", "busy",
+                 "busy_per_channel", "_scheduled")
 
-    def __init__(self, table: OpTable, start: list[float],
-                 finish: list[float], prev_slot_finish: list[float],
+    def __init__(self, table: OpTable, index: ConsumerIndex,
+                 start: list[float], finish: list[float],
                  makespan: float, busy: dict[EngineKind, float],
                  busy_per_channel: dict[tuple[EngineKind, int], float]) \
             -> None:
         self.table = table
+        #: The :class:`ConsumerIndex` the schedule was built from.
+        self.index = index
         self.start = start
         self.finish = finish
-        #: Per op: the finish time of the previous op on its
-        #: (engine, channel) slot, 0.0 for the slot's first op.  The
-        #: prefetch-stats collector needs it to separate engine
-        #: serialization from dependency stalls.
-        self.prev_slot_finish = prev_slot_finish
         self.makespan = makespan
         self.busy = busy
         self.busy_per_channel = busy_per_channel
         self._scheduled: tuple[ScheduledOp, ...] | None = None
-        self._arrays: dict[str, np.ndarray] | None = None
+
+    @property
+    def prev_slot_finish(self) -> list[float]:
+        """Per op: the finish time of the previous op on its (engine,
+        channel) slot, 0.0 for the slot's first op -- when the slot
+        freed for it."""
+        finish = self.finish
+        return [finish[p] if p >= 0 else 0.0
+                for p in self.index.slot_pred.tolist()]
 
     # -- Per-op surface --------------------------------------------------
 
@@ -342,31 +500,6 @@ class ColumnarTimeline:
         """Channel indices present, ascending (SPMD timelines: (0,))."""
         return tuple(sorted(set(self.table.channels))) or (0,)
 
-    # -- Vectorized surface ----------------------------------------------
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """The schedule as numpy struct-of-arrays (cached).
-
-        Keys: ``engine`` (int8 :data:`ENGINE_CODE` codes), ``duration``
-        / ``start`` / ``finish`` / ``prev_slot_finish`` (float64
-        seconds), ``nbytes`` (int64), ``channel`` (int32).  float64
-        conversion is value-preserving, so vectorized consumers see the
-        exact scheduled times.
-        """
-        if self._arrays is None:
-            t = self.table
-            self._arrays = {
-                "engine": np.asarray(t.codes, dtype=np.int8),
-                "duration": np.asarray(t.durations, dtype=np.float64),
-                "nbytes": np.asarray(t.nbytes, dtype=np.int64),
-                "channel": np.asarray(t.channels, dtype=np.int32),
-                "start": np.asarray(self.start, dtype=np.float64),
-                "finish": np.asarray(self.finish, dtype=np.float64),
-                "prev_slot_finish": np.asarray(self.prev_slot_finish,
-                                               dtype=np.float64),
-            }
-        return self._arrays
-
 
 def schedule_ops(table: OpTable) -> ColumnarTimeline:
     """List-schedule an :class:`OpTable`: engines serialize, and each
@@ -374,58 +507,43 @@ def schedule_ops(table: OpTable) -> ColumnarTimeline:
     dependency has finished.
 
     The recurrence is a sequential chain, so it runs as one tight loop
-    over the columns; busy times accumulate in uid order.
+    over the columns; the slot an op waits for is its
+    :class:`ConsumerIndex` slot predecessor, and busy times accumulate
+    in uid order.
     """
-    codes = table.codes
-    durations = table.durations
-    deps = table.deps
-    tab_channels = table.channels
-
-    # Slot state indexed by engine code; dict keys are plain-int
-    # channels (enum-keyed dicts would hash the enum several times per
-    # op -- measurable over a campaign grid).
-    free_by_code: list[dict[int, float]] = [{}, {}, {}, {}]
+    index = table.consumer_index()
+    n = len(table.durations)
+    # One spare entry: finish[-1] is the 0.0 a slot's first op reads.
+    finish: list[float] = [0.0] * (n + 1)
+    start: list[float] = [0.0] * n
     busy_by_code: list[float] = [0.0, 0.0, 0.0, 0.0]
-    busy_ch_by_code: list[dict[int, float]] = [{}, {}, {}, {}]
-    finish: list[float] = []
-    start: list[float] = []
-    prev_slot: list[float] = []
-    finish_append = finish.append
-    start_append = start.append
-    prev_append = prev_slot.append
+    busy_by_slot: list[float] = [0.0] * len(index.slots)
 
-    for i in range(len(durations)):
+    for i, op_deps, pred, duration, code, slot in zip(
+            range(n), table.deps, index.slot_pred.tolist(),
+            table.durations, table.codes, index.slot_of.tolist()):
         ready = 0.0
-        for d in deps[i]:
+        for d in op_deps:
             f = finish[d]
             if f > ready:
                 ready = f
-        code = codes[i]
-        channel = tab_channels[i]
-        slots = free_by_code[code]
-        free = slots.get(channel, 0.0)
+        free = finish[pred]
         begin = free if free > ready else ready
-        duration = durations[i]
-        end = begin + duration
-        slots[channel] = end
+        start[i] = begin
+        finish[i] = begin + duration
         busy_by_code[code] += duration
-        busy_ch = busy_ch_by_code[code]
-        busy_ch[channel] = busy_ch.get(channel, 0.0) + duration
-        prev_append(free)
-        start_append(begin)
-        finish_append(end)
+        busy_by_slot[slot] += duration
+    finish.pop()
 
     busy = {engine: busy_by_code[code]
             for engine, code in ENGINE_CODE.items()}
     busy_per_channel = {
         (CODE_ENGINE[code], channel): seconds
-        for code in range(4)
-        for channel, seconds in busy_ch_by_code[code].items()}
+        for (code, channel), seconds in zip(index.slots, busy_by_slot)}
     makespan = max(finish, default=0.0)
     _SCHED_RUNS.inc()
-    _SCHED_OPS.inc(len(durations))
-    _SCHED_TABLE_OPS.observe(len(durations))
-    return ColumnarTimeline(table=table, start=start, finish=finish,
-                            prev_slot_finish=prev_slot,
-                            makespan=makespan, busy=busy,
+    _SCHED_OPS.inc(n)
+    _SCHED_TABLE_OPS.observe(n)
+    return ColumnarTimeline(table=table, index=index, start=start,
+                            finish=finish, makespan=makespan, busy=busy,
                             busy_per_channel=busy_per_channel)

@@ -29,7 +29,11 @@ derivations through:
 * :func:`cached_topology` -- the op graphs of the training and
   inference emitters (engines, dependencies, tags, value-source
   indices) per structure key, so a cell re-prices a graph the process
-  has already built instead of re-deriving it;
+  has already built instead of re-deriving it (each topology carries
+  its lazily built consumer index, which lives and dies with it);
+* :func:`training_footprint` / :func:`inference_footprint` -- the
+  per-(network, batch) memory footprints the fits-in-memory check
+  reads;
 * :func:`cached_cluster_cell` -- cross-instance memo for the cluster
   cost oracle, so four scheduling policies price one design's job
   classes with one set of ``simulate()`` calls.
@@ -86,7 +90,7 @@ _CLUSTER_CELLS: dict = {}
 #: hook so the lookup paths never test an enabled flag.
 _MEMO_NAMES = ("partition", "migration", "layer-times", "layer-fwd",
                "layer-bwd", "layer-bwd-split", "collective", "dma",
-               "topology", "cluster-cell")
+               "topology", "footprint", "cluster-cell")
 _HITS: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 _MISSES: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 
@@ -221,6 +225,30 @@ def cached_topology(net: "Network", key: tuple,
     else:
         _HITS["topology"].inc()
     return topology
+
+
+def training_footprint(net: "Network", batch: int) -> int:
+    """Memoized :meth:`Network.training_footprint_bytes`."""
+    return _footprint(net, "training-footprint", batch,
+                      net.training_footprint_bytes)
+
+
+def inference_footprint(net: "Network", batch: int) -> int:
+    """Memoized :meth:`Network.inference_footprint_bytes`."""
+    return _footprint(net, "inference-footprint", batch,
+                      net.inference_footprint_bytes)
+
+
+def _footprint(net: "Network", memo: str, batch: int,
+               compute: Callable[[int], int]) -> int:
+    key = (memo, net.version, batch)
+    cache = _net_cache(net)
+    if key not in cache:
+        _MISSES["footprint"].inc()
+        cache[key] = compute(batch)
+    else:
+        _HITS["footprint"].inc()
+    return cache[key]
 
 
 def layer_fwd_time(device: "DeviceSpec", layer: "Layer",

@@ -12,6 +12,7 @@ returns the timeline that same run scheduled.
 
 from __future__ import annotations
 
+from repro.core import pricing
 from repro.core.metrics import (ExecutionMode, LatencyBreakdown,
                                 SimulationResult)
 from repro.core.optable import ColumnarTimeline, schedule_ops
@@ -128,10 +129,9 @@ def _lower(config: SystemConfig, network: Network | str, batch: int,
         # Inference streams weights in and pushes nothing back.
         offload = plan.weight_stream_bytes_per_device
         host_traffic = offload
-        footprint = net.inference_footprint_bytes(batch)
+        footprint = pricing.inference_footprint(net, batch)
         evictions = psched.evictions
     elif label == "pipeline":
-        stats = lowering.pipeline_stats(plan, timeline)
         offload = plan.offload_bytes_per_device
         host_traffic = 2 * offload
         footprint = plan.max_stage_footprint_bytes
@@ -143,8 +143,13 @@ def _lower(config: SystemConfig, network: Network | str, batch: int,
         # (data-parallel) or materializes full gathered feature maps
         # (model-parallel), so the per-device footprint is the
         # full-batch footprint either way.
-        footprint = net.training_footprint_bytes(batch)
+        footprint = pricing.training_footprint(net, batch)
         evictions = psched.evictions
+    with span("stats", mode=label):
+        if label == "pipeline":
+            stats = lowering.pipeline_stats(plan, timeline)
+        prefetch = collect_prefetch_stats(timeline, config.prefetch_policy,
+                                          evictions=evictions)
 
     breakdown = LatencyBreakdown(
         compute=timeline.busy_time(EngineKind.COMPUTE),
@@ -167,8 +172,7 @@ def _lower(config: SystemConfig, network: Network | str, batch: int,
         fits_in_device_memory=footprint <= config.device.memory_capacity,
         pipeline=stats,
         mode=mode,
-        prefetch=collect_prefetch_stats(timeline, config.prefetch_policy,
-                                        evictions=evictions),
+        prefetch=prefetch,
     )
     return result, timeline
 

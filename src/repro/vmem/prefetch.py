@@ -406,11 +406,13 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
     weight streaming, and multi-channel pipelines -- because it reasons
     only over engine kinds: a compute op stalls when its DMA-in
     dependencies finish after both its own engine slot and its non-DMA
-    dependencies were ready (the scheduler's recorded per-slot
-    previous-finish column supplies the former).  Wasted traffic is
-    whatever rode a ``waste:`` tag.  No per-op objects are
-    materialized; the DMA/collective overlap is priced on numpy
-    interval arrays.
+    dependencies were ready.  Every structural fact (which ops are
+    fetches, which compute ops wait on one, the slot predecessors, the
+    per-channel groups) comes from the timeline's
+    :class:`~repro.core.optable.ConsumerIndex`, so a cell only gathers
+    its times.  Wasted traffic is whatever rode a ``waste:`` tag.
+    Float sums run through one sequential ``cumsum`` in uid order, the
+    order a per-op loop would add them in.
     """
     # Imported here, not at module scope: repro.training (and through
     # it repro.core.metrics) imports repro.vmem, so a top-level import
@@ -418,51 +420,30 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
     import numpy as np
 
     from repro.core.metrics import PrefetchStats
-    from repro.core.optable import ENGINE_CODE
-    from repro.core.timeline import EngineKind
 
+    index = timeline.index
     table = timeline.table
-    arrays = timeline.as_arrays()
-    engine = arrays["engine"]
-    starts = timeline.start
-    finishes = timeline.finish
-    prev_slot = timeline.prev_slot_finish
-    codes = table.codes
-    deps = table.deps
-    tags = table.tags
-    nbytes = table.nbytes
-    durations = table.durations
+    start = np.asarray(timeline.start, dtype=np.float64)
+    # The trailing 0.0 is what a slot predecessor of -1 reads.
+    finish = np.asarray(timeline.finish + [0.0], dtype=np.float64)
 
-    dma_in = ENGINE_CODE[EngineKind.DMA_IN]
-    dma_in_idx = np.nonzero(engine == dma_in)[0]
-    prefetch_bytes = sum(nbytes[i] for i in dma_in_idx)
-    wasted = sum(nbytes[i] for i in dma_in_idx
-                 if tags[i].startswith("waste:"))
+    nbytes = np.asarray(table.nbytes, dtype=np.int64)[index.dma_in]
+    prefetch_bytes = int(nbytes.sum())
+    wasted = int(nbytes[index.waste].sum())
 
-    late = jit = early = 0
-    n_prefetches = 0
+    n_prefetches = len(index.fetch_flat)
+    late = jit = 0
     stall = 0.0
-    for i in np.nonzero(engine == ENGINE_CODE[EngineKind.COMPUTE])[0]:
-        op_deps = deps[i]
-        if not op_deps:
-            continue
-        fetches = [d for d in op_deps if codes[d] == dma_in]
-        if not fetches:
-            continue
-        other = max((finishes[d] for d in op_deps
-                     if codes[d] != dma_in), default=0.0)
-        prev = prev_slot[i]
-        unblocked = prev if prev > other else other
-        stall += max(0.0, starts[i] - unblocked)
-        for d in fetches:
-            n_prefetches += 1
-            slack = unblocked - finishes[d]
-            if slack < 0:
-                late += 1
-            elif slack <= durations[d]:
-                jit += 1
-            else:
-                early += 1
+    if len(index.stall):
+        unblocked = np.maximum.reduceat(finish[index.wait_flat],
+                                        index.wait_ptr[:-1])
+        waits = np.maximum(0.0, start[index.stall] - unblocked)
+        stall = float(np.cumsum(np.concatenate(([0.0], waits)))[-1])
+        slack = unblocked[index.fetch_owner] - finish[index.fetch_flat]
+        durations = np.asarray(table.durations,
+                               dtype=np.float64)[index.fetch_flat]
+        late = int(np.count_nonzero(slack < 0))
+        jit = int(np.count_nonzero((slack >= 0) & (slack <= durations)))
     hit_rate = 1.0 if n_prefetches == 0 \
         else (n_prefetches - late) / n_prefetches
     stats = PrefetchStats(
@@ -472,55 +453,54 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
         wasted_bytes=wasted,
         evictions=evictions,
         stall_seconds=stall,
-        late=late, jit=jit, early=early,
+        late=late, jit=jit, early=n_prefetches - late - jit,
         hit_rate=hit_rate,
-        contended_seconds=_dma_comm_overlap(arrays),
+        contended_seconds=_dma_comm_overlap(index, start, finish),
     )
     _record_stats(stats)
     return stats
 
 
-def _dma_comm_overlap(arrays) -> float:
+def _dma_comm_overlap(index, start, finish) -> float:
     """Seconds migration DMAs overlap collectives on a shared channel.
 
-    Per channel (in the DMA family's first-appearance order) the
-    pairwise clipped overlaps of every DMA interval with every
-    collective interval are laid out row-major, concatenated, and
+    Only ops that span time count.  Per channel, in the order of each
+    channel's first such DMA, the clipped overlap of every DMA interval
+    with every collective interval is laid out row-major and the rows
     reduced with one sequential ``cumsum`` -- a fixed summation order,
-    hence byte-deterministic totals.
+    hence byte-deterministic totals.  Zero overlaps add exactly nothing
+    to that sum, so only the positive ones are laid out: a channel's
+    collectives share one FIFO slot, so their starts and finishes both
+    ascend and each DMA overlaps one contiguous run of them.
     """
     import numpy as np
 
-    from repro.core.optable import ENGINE_CODE
-    from repro.core.timeline import EngineKind
-
-    engine = arrays["engine"]
-    start = arrays["start"]
-    finish = arrays["finish"]
-    channel = arrays["channel"]
-    span = finish > start
-    dma = span & ((engine == ENGINE_CODE[EngineKind.DMA_IN])
-                  | (engine == ENGINE_CODE[EngineKind.DMA_OUT]))
-    comm = span & (engine == ENGINE_CODE[EngineKind.COMM])
-    if not dma.any() or not comm.any():
-        return 0.0
-    dma_ch = channel[dma]
-    comm_ch = channel[comm]
-    a0, a1 = start[dma], finish[dma]
-    b0, b1 = start[comm], finish[comm]
-    _, first = np.unique(dma_ch, return_index=True)
-    terms = []
-    for ch in dma_ch[np.sort(first)]:
-        mine = dma_ch == ch
-        theirs = comm_ch == ch
-        if not theirs.any():
+    rows = []
+    for dma, comm in index.channel_groups:
+        a0, a1 = start[dma], finish[dma]
+        b0, b1 = start[comm], finish[comm]
+        mine = a1 > a0
+        theirs = b1 > b0
+        if not mine.any() or not theirs.any():
             continue
-        pair = (np.minimum.outer(a1[mine], b1[theirs])
-                - np.maximum.outer(a0[mine], b0[theirs]))
-        terms.append(np.maximum(0.0, pair).ravel())
-    if not terms:
+        a0, a1 = a0[mine], a1[mine]
+        b0, b1 = b0[theirs], b1[theirs]
+        # Per DMA, the collectives ending after it starts and starting
+        # before it ends.
+        lo = np.searchsorted(b1, a0, side="right")
+        counts = np.searchsorted(b0, a1, side="left") - lo
+        row = np.repeat(np.arange(len(a0)), counts)
+        if not len(row):
+            continue
+        col = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts
+                                              - lo, counts)
+        rows.append((dma[mine][0],
+                     np.minimum(a1[row], b1[col])
+                     - np.maximum(a0[row], b0[col])))
+    if not rows:
         return 0.0
-    return float(np.cumsum(np.concatenate(terms))[-1])
+    rows.sort(key=lambda first_and_terms: first_and_terms[0])
+    return float(np.cumsum(np.concatenate([t for _, t in rows]))[-1])
 
 
 def _record_stats(stats) -> None:

@@ -397,3 +397,20 @@ def test_pricing_pass_rejects_nan_durations(monkeypatch):
     monkeypatch.setattr(pricing, "layer_times", lambda *args: times)
     with pytest.raises(ValueError, match=r"op fwd:fc1: .*NaN"):
         build_iteration_ops(plan, config)
+
+
+def test_footprints_are_memoised_per_network_version():
+    net = small_net()
+    pricing.clear_caches()
+    for batch in (32, 64, 32):
+        assert (pricing.training_footprint(net, batch)
+                == net.training_footprint_bytes(batch))
+        assert (pricing.inference_footprint(net, batch)
+                == net.inference_footprint_bytes(batch))
+    before = pricing.training_footprint(net, 32)
+    net.add_layer(Layer(name="act", kind=LayerKind.ACT, out_elems=4096,
+                        stream_elems=64), inputs=["fc2"])
+    after = pricing.training_footprint(net, 32)
+    assert after == net.training_footprint_bytes(32) > before
+    assert (pricing.inference_footprint(net, 32)
+            == net.inference_footprint_bytes(32))

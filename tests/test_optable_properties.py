@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.optable import ENGINE_CODE, OpTable, schedule_ops
+from repro.core.optable import OpTable, schedule_ops
 from repro.core.timeline import EngineKind, Op, ScheduledOp
 
 ENGINES = tuple(EngineKind)
@@ -143,22 +143,6 @@ class TestSchedulerEquivalence:
             assert (col.prev_slot_finish[uid]
                     == slot_free.get((engine, channel), 0.0))
             slot_free[(engine, channel)] = col.finish_of(uid)
-
-    @given(op_programs())
-    @settings(max_examples=60, deadline=None)
-    def test_as_arrays_mirrors_columns(self, program):
-        _, table = build(program)
-        col = schedule_ops(table)
-        arrays = col.as_arrays()
-        n = len(program)
-        assert all(arrays[k].shape == (n,) for k in arrays)
-        for uid in range(n):
-            assert arrays["engine"][uid] == ENGINE_CODE[table.engines[uid]]
-            assert arrays["duration"][uid] == table.durations[uid]
-            assert arrays["start"][uid] == col.scheduled[uid].start
-            assert arrays["finish"][uid] == col.finish_of(uid)
-            assert arrays["nbytes"][uid] == table.nbytes[uid]
-            assert arrays["channel"][uid] == table.channels[uid]
 
 
 class TestContainerParity:

@@ -289,7 +289,7 @@ class TestSpans:
         simulate(design_point("MC-DLA(B)"), "AlexNet", 256,
                  ParallelStrategy.DATA)
         names = [s.name for s in telemetry.span_recorder().spans]
-        assert {"plan", "price", "emit", "schedule"} <= set(names)
+        assert {"plan", "price", "emit", "schedule", "stats"} <= set(names)
 
 
 # -- exporters ------------------------------------------------------------
@@ -568,7 +568,7 @@ class TestOtherClis:
 
 
 #: Host phases every merged campaign-cell trace must carry.
-REQUIRED_HOST_SPANS = {"plan", "price", "emit", "schedule",
+REQUIRED_HOST_SPANS = {"plan", "price", "emit", "schedule", "stats",
                        "cache:lookup"}
 
 
@@ -632,7 +632,7 @@ class TestMergedTrace:
         doc = json.loads(out.read_text())
         host = {e["name"] for e in doc["traceEvents"]
                 if e.get("pid") == HOST_PID and e["ph"] == "X"}
-        assert {"plan", "price", "emit", "schedule"} <= host
+        assert {"plan", "price", "emit", "schedule", "stats"} <= host
 
     def test_trace_cli_telemetry_lowers_the_cell_once(
             self, tmp_path, monkeypatch, capsys):
